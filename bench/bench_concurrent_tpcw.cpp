@@ -26,6 +26,7 @@
 
 #include "concurrent/tpcw_mix.h"
 #include "hbase/retry_policy.h"
+#include "obs/metrics.h"
 #include "systems/harness.h"
 #include "systems/mvcc_system.h"
 #include "systems/synergy_wrapper.h"
@@ -274,20 +275,23 @@ int main() {
     const concurrent::WorkloadReport report = systems::MeasureConcurrent(
         *failover_sys, scale, concurrent::WriteHeavyMix(), max_threads,
         ops_per_thread, /*base_seed=*/scale.seed ^ 0xFA11CAFE);
-    const hbase::FailoverStats fstats =
-        failover_sys->cluster()->failover().stats();
+    const obs::RegistrySnapshot snap =
+        failover_sys->cluster()->metrics().Snapshot();
+    auto failover_count = [&snap](const char* name) {
+      return static_cast<unsigned long long>(snap.CounterValue(name));
+    };
     std::printf(
         "goodput %.1f ops/vsec, p99 %s ms, errors %zu (deadline %zu), "
         "retries %zu, degraded reads %zu\n"
-        "cluster: crashes %lld, regions reassigned %lld, WAL edits replayed "
-        "%lld, writes rejected mid-reassignment %lld\n\n",
+        "cluster: crashes %llu, regions reassigned %llu, WAL edits replayed "
+        "%llu, writes rejected mid-reassignment %llu\n\n",
         report.virtual_throughput(), FormatMs(report.p99_ms()).c_str(),
         report.total_errors, report.total_deadline_errors,
         report.total_retries, report.total_degraded_ops,
-        static_cast<long long>(fstats.crashes),
-        static_cast<long long>(fstats.regions_reassigned),
-        static_cast<long long>(fstats.edits_replayed),
-        static_cast<long long>(fstats.writes_rejected));
+        failover_count("hbase_failover_crashes_total"),
+        failover_count("hbase_failover_regions_reassigned_total"),
+        failover_count("hbase_failover_edits_replayed_total"),
+        failover_count("hbase_failover_writes_rejected_total"));
     if (report.total_ops == 0) {
       std::fprintf(stderr, "FAIL: no goodput through the server crash: %s\n",
                    report.first_error.ToString().c_str());

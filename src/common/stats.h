@@ -1,6 +1,7 @@
 // Mean / standard-error accumulation for benchmark reporting (the paper
-// reports mean and standard error over 10 repetitions), plus a log-bucketed
-// latency histogram for tail percentiles (p50/p95/p99) under concurrency.
+// reports mean and standard error over 10 repetitions), a log-bucketed
+// latency histogram for tail percentiles (p50/p95/p99) under concurrency,
+// and the per-op store-work tallies every system is compared by.
 #pragma once
 
 #include <algorithm>
@@ -37,6 +38,33 @@ class RunningStats {
   size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
+};
+
+/// Store work done by one op (or, as a running total, by one client
+/// session): the figures the paper compares systems by next to response
+/// time. hbase::Session::counts() returns the session totals; an op's share
+/// is the difference of two readings.
+struct OpCounts {
+  uint64_t rpcs = 0;            // RPC attempts at the region-server boundary
+  uint64_t retries = 0;         // retries granted by the client retry policy
+  uint64_t degraded_reads = 0;  // reads served at bounded staleness
+  uint64_t scan_errors_dropped = 0;  // scanners dropped with unchecked errors
+
+  OpCounts& operator+=(const OpCounts& o) {
+    rpcs += o.rpcs;
+    retries += o.retries;
+    degraded_reads += o.degraded_reads;
+    scan_errors_dropped += o.scan_errors_dropped;
+    return *this;
+  }
+  friend OpCounts operator-(OpCounts a, const OpCounts& b) {
+    a.rpcs -= b.rpcs;
+    a.retries -= b.retries;
+    a.degraded_reads -= b.degraded_reads;
+    a.scan_errors_dropped -= b.scan_errors_dropped;
+    return a;
+  }
+  bool operator==(const OpCounts&) const = default;
 };
 
 /// Log-bucketed histogram for latency percentiles (p50/p95/p99). Buckets are

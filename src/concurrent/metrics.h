@@ -22,25 +22,14 @@
 
 namespace synergy::concurrent {
 
-/// Result of one successful client operation. Constructible from a bare
-/// virtual-µs cost so ops that don't track robustness counters stay terse.
+/// Result of one client operation. Constructible from a bare virtual-µs
+/// cost so ops that don't track store work stay terse.
 struct OpOutcome {
-  OpOutcome() = default;
-  OpOutcome(double us) : virtual_us(us) {}  // NOLINT: implicit by design
-  OpOutcome(double us, size_t r, size_t d)
-      : virtual_us(us), retries(r), degraded(d) {}
-  OpOutcome(double us, size_t r, size_t d, size_t scan_drops)
-      : virtual_us(us), retries(r), degraded(d),
-        scan_errors_dropped(scan_drops) {}
-  OpOutcome(double us, size_t r, size_t d, size_t scan_drops, size_t rpc_count)
-      : virtual_us(us), retries(r), degraded(d),
-        scan_errors_dropped(scan_drops), rpcs(rpc_count) {}
+  OpOutcome(double us = 0.0) : virtual_us(us) {}  // NOLINT: implicit by design
+  OpOutcome(double us, const OpCounts& c) : virtual_us(us), counts(c) {}
 
   double virtual_us = 0.0;  // simulated cost of the op
-  size_t retries = 0;       // RPC/txn retries the op consumed
-  size_t degraded = 0;      // reads served at bounded staleness
-  size_t scan_errors_dropped = 0;  // scanners dropped with unchecked errors
-  size_t rpcs = 0;  // store RPCs the op issued (incl. retried attempts)
+  OpCounts counts;          // store work the op did (incl. retried attempts)
 };
 
 /// Per-worker-thread counters; exclusively owned by one thread during the
@@ -50,15 +39,17 @@ struct ThreadMetrics {
   size_t offered = 0;           // operations issued (closed) / arrived (open)
   size_t ops = 0;               // completed (successful) operations
   size_t errors = 0;            // failed operations
-  size_t retries = 0;           // retries consumed by successful ops
+  // Store work of successful ops. RunClosedLoop counts nothing else: a
+  // failed StatusOr carries no outcome.
+  OpCounts counts;
+  // RunOpenLoop only: store work of failed attempts, whose OpResult keeps
+  // its cost. Reports add its rpcs and scan_errors_dropped to `counts`.
+  OpCounts failed_counts;
   size_t degraded_ops = 0;      // ops that read degraded (stale-bounded) data
   size_t deadline_errors = 0;   // errors that were deadline expirations
   size_t shed_errors = 0;       // errors that were overload rejections
   size_t abandoned = 0;         // open loop: ops dropped by the client after
                                 // waiting out max_queue_delay_us unstarted
-  size_t scan_errors_dropped = 0;  // scanners dropped with unchecked errors
-  size_t rpcs = 0;              // store RPCs issued (all outcomes, incl.
-                                // failed attempts — they hit the store too)
   double busy_virtual_us = 0.0; // sum of per-op virtual time on this thread
   double span_virtual_us = 0.0; // open loop: thread clock when the run ended
                                 // (arrival horizon plus backlog drain)
@@ -71,13 +62,15 @@ struct WorkloadReport {
   size_t total_offered = 0;
   size_t total_ops = 0;
   size_t total_errors = 0;
-  size_t total_retries = 0;        // retries consumed across all threads
+  size_t total_retries = 0;        // retries consumed by successful ops
   size_t total_degraded_ops = 0;   // ops served from a degraded region
   size_t total_deadline_errors = 0;  // errors that were deadline expirations
   size_t total_shed_errors = 0;      // errors that were overload rejections
   size_t total_abandoned = 0;        // open loop: client-abandoned arrivals
-  size_t total_scan_errors_dropped = 0;  // unchecked scan errors (see Scanner)
-  size_t total_rpcs = 0;             // store RPCs issued across all threads
+  // Unchecked scan errors (see Scanner) and store RPCs: of successful ops
+  // in the closed loop, of every attempt in the open loop.
+  size_t total_scan_errors_dropped = 0;
+  size_t total_rpcs = 0;
   double wall_seconds = 0.0;
   double virtual_seconds = 0.0;  // open loop: max thread span; closed loop:
                                  // max busy virtual time

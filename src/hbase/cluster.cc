@@ -40,6 +40,9 @@ ClusterOpCounters ClusterOpCounters::Resolve(obs::MetricsRegistry& registry) {
   return c;
 }
 
+Session::Session(Cluster* cluster)
+    : cluster_(cluster), counters_(&cluster->counters()) {}
+
 template <typename Fn>
 auto Cluster::RunWithRetries(Session& s, Fn&& fn) -> decltype(fn()) {
   return RunWithRetryProtection(*this, s, std::forward<Fn>(fn), [] {});

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/stats.h"
 #include "common/status.h"
 #include "hbase/admission.h"
 #include "hbase/failover.h"
@@ -38,10 +39,8 @@ class Cluster;
 
 /// Registry handles for the cluster-wide tallies published at the RPC
 /// boundary and by the client retry stack. Resolved once per Cluster so the
-/// hot path pays one relaxed add per event; session-level counters mirror
-/// into these (satellite of PR 10: one registry is the source of truth for
-/// cluster-wide robustness tallies, so ResetMetrics can't desynchronize
-/// them).
+/// hot path pays one relaxed add per event; the session's OpCounts tallies
+/// mirror into the fields of the same name.
 struct ClusterOpCounters {
   obs::Counter* rpcs = nullptr;
   obs::Counter* scan_batches = nullptr;
@@ -61,7 +60,7 @@ struct ClusterOpCounters {
 /// A logical client connection: owns the virtual-time meter and read view.
 class Session {
  public:
-  explicit Session(Cluster* cluster) : cluster_(cluster) {}
+  explicit Session(Cluster* cluster);
 
   Cluster* cluster() const { return cluster_; }
   sim::CostMeter& meter() { return meter_; }
@@ -86,11 +85,6 @@ class Session {
     breaker_ = policy.breaker_trip_overloads > 0
                    ? std::make_unique<CircuitBreaker>(policy)
                    : nullptr;
-  }
-  void ClearRetryPolicy() {
-    retry_policy_.reset();
-    retry_budget_.reset();
-    breaker_.reset();
   }
   const std::optional<RetryPolicy>& retry_policy() const {
     return retry_policy_;
@@ -136,43 +130,28 @@ class Session {
     return trace_ != nullptr && trace_->rpc_spans() ? trace_ : nullptr;
   }
 
-  // Availability counters. Atomic because txn-slave workers execute write
-  // bodies against the client's session from another thread (same contract
-  // as CostMeter: commuting adds, read after the submit future resolves).
-  // Each also mirrors into the cluster's registry counters, so per-session
-  // tallies and cluster-wide metrics can't drift apart (bodies follow the
-  // Cluster definition below).
-  void CountRetry();
-  void CountDegradedRead();
-  void CountDeadlineExceeded();
-  void CountOverloadRejected();
-  void CountScanErrorDropped();
-  /// One completed RPC attempt at the region-server boundary (the paper's
-  /// Table 2 denominator: RPCs per operation).
-  void CountRpc();
-  uint64_t rpc_count() const { return rpcs_.load(std::memory_order_relaxed); }
-  uint64_t retries() const {
-    return retries_.load(std::memory_order_relaxed);
+  // The session's OpCounts tallies. Atomic because txn-slave workers
+  // execute write bodies against the client's session from another thread
+  // (same contract as CostMeter: commuting adds, read after the submit
+  // future resolves). Each event is also counted once in the matching
+  // ClusterOpCounters registry counter.
+  /// One RPC attempt at the region-server boundary (the paper's Table 2
+  /// denominator: RPCs per operation).
+  void CountRpc() { Count(rpcs_, counters_->rpcs); }
+  void CountRetry() { Count(retries_, counters_->retries); }
+  void CountDegradedRead() {
+    Count(degraded_reads_, counters_->degraded_reads);
   }
-  uint64_t degraded_reads() const {
-    return degraded_reads_.load(std::memory_order_relaxed);
+  void CountScanErrorDropped() {
+    Count(scan_errors_dropped_, counters_->scan_errors_dropped);
   }
-  uint64_t deadline_exceeded() const {
-    return deadline_exceeded_.load(std::memory_order_relaxed);
-  }
-  uint64_t overload_rejections() const {
-    return overload_rejections_.load(std::memory_order_relaxed);
-  }
-  uint64_t scan_errors_dropped() const {
-    return scan_errors_dropped_.load(std::memory_order_relaxed);
-  }
-  void ResetOpStats() {
-    retries_.store(0, std::memory_order_relaxed);
-    degraded_reads_.store(0, std::memory_order_relaxed);
-    deadline_exceeded_.store(0, std::memory_order_relaxed);
-    overload_rejections_.store(0, std::memory_order_relaxed);
-    scan_errors_dropped_.store(0, std::memory_order_relaxed);
-    rpcs_.store(0, std::memory_order_relaxed);
+  /// Running totals since the session was created; an op's share is the
+  /// difference of the readings before and after it.
+  OpCounts counts() const {
+    return {rpcs_.load(std::memory_order_relaxed),
+            retries_.load(std::memory_order_relaxed),
+            degraded_reads_.load(std::memory_order_relaxed),
+            scan_errors_dropped_.load(std::memory_order_relaxed)};
   }
 
  private:
@@ -185,12 +164,16 @@ class Session {
   obs::TraceCollector* trace_ = nullptr;
   bool retry_suppressed_ = false;
   double op_deadline_us_ = 0.0;
+  const ClusterOpCounters* counters_;
+  std::atomic<uint64_t> rpcs_{0};
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> degraded_reads_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> overload_rejections_{0};
   std::atomic<uint64_t> scan_errors_dropped_{0};
-  std::atomic<uint64_t> rpcs_{0};
+
+  static void Count(std::atomic<uint64_t>& tally, obs::Counter* mirror) {
+    tally.fetch_add(1, std::memory_order_relaxed);
+    mirror->Inc();
+  }
 };
 
 /// Streaming scanner with per-batch RPC cost accounting. Obtain via
@@ -293,10 +276,6 @@ class Cluster {
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   /// Pre-resolved handles for the RPC-boundary and client-retry counters.
   const ClusterOpCounters& counters() const { return counters_; }
-  /// Zeroes every counter/histogram in the registry — the one reset that
-  /// cannot desynchronize admission/failover/client tallies, since they all
-  /// read through the registry.
-  void ResetMetrics() { metrics_.ResetAll(); }
 
   /// Membership/failure-detection layer. Always on; heartbeat rounds are
   /// driven by RPC ticks, so a healthy idle cluster does no work.
@@ -318,7 +297,7 @@ class Cluster {
   void ConfigureAdmission(AdmissionConfig config) {
     admission_ = config.enabled
                      ? std::make_unique<AdmissionController>(
-                           num_region_servers_, config, &metrics_)
+                           num_region_servers_, config, metrics_)
                      : nullptr;
   }
   AdmissionController* admission() { return admission_.get(); }
@@ -456,33 +435,6 @@ class Cluster {
   std::map<std::string, std::unique_ptr<Table>> tables_;
 };
 
-// Session counter bodies live below Cluster because each mirrors into the
-// cluster-wide registry handles in addition to its per-session atomic.
-inline void Session::CountRetry() {
-  retries_.fetch_add(1, std::memory_order_relaxed);
-  cluster_->counters().retries->Inc();
-}
-inline void Session::CountDegradedRead() {
-  degraded_reads_.fetch_add(1, std::memory_order_relaxed);
-  cluster_->counters().degraded_reads->Inc();
-}
-inline void Session::CountDeadlineExceeded() {
-  deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-  cluster_->counters().deadline_exceeded->Inc();
-}
-inline void Session::CountOverloadRejected() {
-  overload_rejections_.fetch_add(1, std::memory_order_relaxed);
-  cluster_->counters().overload_rejected->Inc();
-}
-inline void Session::CountScanErrorDropped() {
-  scan_errors_dropped_.fetch_add(1, std::memory_order_relaxed);
-  cluster_->counters().scan_errors_dropped->Inc();
-}
-inline void Session::CountRpc() {
-  rpcs_.fetch_add(1, std::memory_order_relaxed);
-  cluster_->counters().rpcs->Inc();
-}
-
 namespace detail {
 
 // Uniform status access over Status and StatusOr<T> attempt results.
@@ -526,7 +478,7 @@ auto RunWithRetryProtection(Cluster& cluster, Session& s, Fn&& fn,
   if (CircuitBreaker* breaker = s.circuit_breaker()) {
     Status gate = breaker->Admit(s.meter().micros());
     if (!gate.ok()) {
-      s.CountOverloadRejected();
+      cluster.counters().overload_rejected->Inc();
       cluster.counters().breaker_fastfail->Inc();
       return Result(std::move(gate));
     }
@@ -546,7 +498,7 @@ auto RunWithRetryProtection(Cluster& cluster, Session& s, Fn&& fn,
       // Overload rejections are terminal here: retrying against a saturated
       // server amplifies the overload (the opposite of what the rejection
       // asked for). The breaker counts the streak and eventually fails fast.
-      s.CountOverloadRejected();
+      cluster.counters().overload_rejected->Inc();
       if (CircuitBreaker* breaker = s.circuit_breaker()) {
         breaker->OnOverload(s.meter().micros());
       }
@@ -556,7 +508,7 @@ auto RunWithRetryProtection(Cluster& cluster, Session& s, Fn&& fn,
         retry.OnFailure(st, s.meter().micros());
     if (!d.retry) {
       if (d.final_status.code() == StatusCode::kDeadlineExceeded) {
-        s.CountDeadlineExceeded();
+        cluster.counters().deadline_exceeded->Inc();
         return Result(d.final_status);
       }
       return result;

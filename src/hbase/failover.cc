@@ -229,18 +229,4 @@ ServerState FailoverManager::state(int server_id) const {
   return servers_[static_cast<size_t>(server_id)].state;
 }
 
-FailoverStats FailoverManager::stats() const {
-  // Reassembled from the registry counters — no second tally to drift.
-  FailoverStats s;
-  s.heartbeat_rounds = static_cast<int64_t>(c_heartbeat_rounds_->Value());
-  s.crashes = static_cast<int64_t>(c_crashes_->Value());
-  s.fenced = static_cast<int64_t>(c_fenced_->Value());
-  s.regions_reassigned =
-      static_cast<int64_t>(c_regions_reassigned_->Value());
-  s.edits_replayed = static_cast<int64_t>(c_edits_replayed_->Value());
-  s.degraded_reads = static_cast<int64_t>(c_degraded_reads_->Value());
-  s.writes_rejected = static_cast<int64_t>(c_writes_rejected_->Value());
-  return s;
-}
-
 }  // namespace synergy::hbase

@@ -63,20 +63,12 @@ struct RegionAccess {
   bool degraded = false;  // OK but served at bounded staleness
 };
 
-/// Failover tallies, reassembled by stats() from the owning Cluster's
-/// metrics registry (the registry is the single source of truth).
-struct FailoverStats {
-  int64_t heartbeat_rounds = 0;
-  int64_t crashes = 0;            // servers that lost their store
-  int64_t fenced = 0;             // servers declared dead with store intact
-  int64_t regions_reassigned = 0;
-  int64_t edits_replayed = 0;     // region-WAL entries replayed
-  int64_t degraded_reads = 0;     // reads served stale during failover
-  int64_t writes_rejected = 0;    // writes refused mid-reassignment
-};
-
 class FailoverManager {
  public:
+  /// Publishes the hbase_failover_* counters (heartbeat_rounds, crashes,
+  /// fenced, regions_reassigned, edits_replayed, degraded_reads,
+  /// writes_rejected) and the hbase_live_region_servers gauge into the
+  /// cluster's registry.
   FailoverManager(Cluster* cluster, int num_servers,
                   FailoverConfig config = {});
 
@@ -109,7 +101,6 @@ class FailoverManager {
   }
   int LiveServerCount() const;
   ServerState state(int server_id) const;
-  FailoverStats stats() const;
   int64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
 
  private:

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
 #include "common/status.h"
 #include "common/value.h"
 #include "hbase/retry_policy.h"
@@ -17,14 +18,11 @@ struct StatementResult {
   double virtual_ms = 0;
   size_t rows = 0;
   bool supported = true;  // false: join not expressible (VoltDB)
-  size_t retries = 0;     // RPC/txn retries the statement consumed
-  size_t degraded = 0;    // reads served from a degraded (failed-over) region
-  size_t scan_errors_dropped = 0;  // scanners dropped with unchecked errors
-  size_t rpcs = 0;  // store RPCs the statement issued (incl. retries)
+  OpCounts counts;        // store work the statement did (incl. retries)
 };
 
 /// One statement execution with the cost-even-on-error semantics open-loop
-/// accounting needs: `result` (virtual time spent, robustness counters) is
+/// accounting needs: `result` (virtual time spent, store work counts) is
 /// valid whether or not `status` is OK, because a failed statement still
 /// occupied the client while it failed.
 struct StatementOutcome {

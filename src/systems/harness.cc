@@ -51,10 +51,8 @@ concurrent::WorkloadReport MeasureConcurrent(EvaluatedSystem& system,
           return Status::Unimplemented("statement " + stmt_id +
                                        " unsupported by " + system.name());
         }
-        // Cost is reported in virtual µs, alongside robustness counters.
-        return concurrent::OpOutcome(r.virtual_ms * 1000.0, r.retries,
-                                     r.degraded, r.scan_errors_dropped,
-                                     r.rpcs);
+        // Cost is reported in virtual µs, alongside the store work counts.
+        return concurrent::OpOutcome(r.virtual_ms * 1000.0, r.counts);
       });
 }
 
@@ -75,9 +73,8 @@ concurrent::WorkloadReport MeasureOpenLoop(EvaluatedSystem& system,
           StatementOutcome out =
               system.ExecuteOpen(client.get(), stmt_id, params);
           const StatementResult& r = out.result;
-          concurrent::OpOutcome outcome(r.virtual_ms * 1000.0, r.retries,
-                                        r.degraded, r.scan_errors_dropped,
-                                        r.rpcs);
+          const concurrent::OpOutcome outcome(r.virtual_ms * 1000.0,
+                                              r.counts);
           if (out.status.ok() && !r.supported) {
             return concurrent::OpResult(
                 Status::Unimplemented("statement " + stmt_id +

@@ -96,7 +96,9 @@ TEST(SessionDriverTest, RobustnessCountersAggregate) {
       if (tid == 0 && i == 0) return Status::DeadlineExceeded("budget spent");
       if (tid == 0 && i == 1) return Status::Aborted("conflict");
       // Thread 1's ops each consumed one retry and a degraded read.
-      if (tid == 1) return OpOutcome(100.0, /*r=*/1, /*d=*/1);
+      if (tid == 1) {
+        return OpOutcome(100.0, {.retries = 1, .degraded_reads = 1});
+      }
       return OpOutcome(100.0);
     };
   });

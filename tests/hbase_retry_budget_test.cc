@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "hbase/admission.h"
 #include "hbase/cluster.h"
 #include "testing/fault_injector.h"
 
 namespace synergy::hbase {
 namespace {
+
+uint64_t Count(const Cluster& cluster, std::string_view name) {
+  return cluster.metrics().Snapshot().CounterValue(name);
+}
 
 TEST(RetryBudgetTest, SpendsToEmptyAndRefillsOnSuccess) {
   RetryPolicy policy;
@@ -104,8 +110,8 @@ TEST_F(SessionProtectionTest, EmptyBudgetSurfacesTheErrorInsteadOfRetrying) {
   // The budget is what ends the storm, so the caller sees the real error,
   // not a deadline artifact.
   EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status;
-  EXPECT_EQ(s.retries(), 3u);
-  EXPECT_EQ(s.deadline_exceeded(), 0u);
+  EXPECT_EQ(s.counts().retries, 3u);
+  EXPECT_EQ(Count(cluster_, "client_deadline_exceeded_total"), 0u);
 }
 
 TEST_F(SessionProtectionTest, SuccessRefillsTheBudget) {
@@ -123,7 +129,7 @@ TEST_F(SessionProtectionTest, SuccessRefillsTheBudget) {
   EXPECT_TRUE(cluster_.Get(s, "t", "r").ok());
   faults_.Arm(fault::FaultPoint::kRpcTimeout, 0, 1);
   EXPECT_TRUE(cluster_.Get(s, "t", "r").ok());
-  EXPECT_EQ(s.retries(), 2u);
+  EXPECT_EQ(s.counts().retries, 2u);
 }
 
 TEST_F(SessionProtectionTest, OverloadTripsBreakerAndFailsFast) {
@@ -150,19 +156,19 @@ TEST_F(SessionProtectionTest, OverloadTripsBreakerAndFailsFast) {
   EXPECT_EQ(cluster_.Get(s, "t", "r").status().code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(s.circuit_breaker()->state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(s.retries(), 0u) << "overload rejections are never retried";
+  EXPECT_EQ(s.counts().retries, 0u) << "overload rejections are never retried";
 
-  const int64_t sheds_before =
-      cluster_.admission()->stats().shed_queue_full +
-      cluster_.admission()->stats().shed_deadline;
+  auto sheds = [this] {
+    return Count(cluster_, "hbase_admission_shed_queue_full_total") +
+           Count(cluster_, "hbase_admission_shed_deadline_total");
+  };
+  const uint64_t sheds_before = sheds();
   EXPECT_EQ(cluster_.Get(s, "t", "r").status().code(),
             StatusCode::kResourceExhausted);
-  EXPECT_EQ(cluster_.admission()->stats().shed_queue_full +
-                cluster_.admission()->stats().shed_deadline,
-            sheds_before)
+  EXPECT_EQ(sheds(), sheds_before)
       << "an open breaker must fail fast without reaching the server";
   EXPECT_EQ(s.circuit_breaker()->fast_failures(), 1);
-  EXPECT_EQ(s.overload_rejections(), 3u);
+  EXPECT_EQ(Count(cluster_, "client_overload_rejected_total"), 3u);
 }
 
 TEST_F(SessionProtectionTest, BreakerRecoversThroughHalfOpenProbe) {

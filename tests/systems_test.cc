@@ -176,5 +176,32 @@ TEST_F(SystemsTest, QueryResultsAgreeAcrossSystems) {
   }
 }
 
+TEST_F(SystemsTest, PersistentClientMatchesFreshExecute) {
+  // The open-loop client path (one session across statements) and Execute
+  // (a fresh session per statement) must report the same per-statement
+  // cost and store work for reads, which leave the store unchanged.
+  for (const SystemKind kind : {SystemKind::kSynergy, SystemKind::kBaseline}) {
+    EvaluatedSystem& system = System(kind);
+    std::unique_ptr<EvaluatedSystem::Client> client = system.MakeClient();
+    ASSERT_NE(client, nullptr) << SystemKindName(kind);
+    tpcw::ParamProvider params(*scale_, /*seed=*/11);
+    for (const char* id : {"Q1", "Q8"}) {
+      StatusOr<std::vector<Value>> p = params.ParamsFor(id);
+      ASSERT_TRUE(p.ok()) << p.status();
+      const StatementOutcome open = system.ExecuteOpen(client.get(), id, *p);
+      const StatusOr<StatementResult> fresh = system.Execute(id, *p);
+      ASSERT_TRUE(open.status.ok()) << SystemKindName(kind) << " " << id;
+      ASSERT_TRUE(fresh.ok()) << SystemKindName(kind) << " " << id;
+      // A persistent meter subtracts two running sums, so allow rounding.
+      EXPECT_NEAR(open.result.virtual_ms, fresh->virtual_ms,
+                  1e-9 * fresh->virtual_ms)
+          << SystemKindName(kind) << " " << id;
+      EXPECT_EQ(open.result.rows, fresh->rows);
+      EXPECT_GT(fresh->counts.rpcs, 0u);
+      EXPECT_EQ(open.result.counts, fresh->counts);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace synergy::systems
