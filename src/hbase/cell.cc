@@ -1,18 +1,33 @@
 #include "hbase/cell.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace synergy::hbase {
 
-void Cell::AddVersion(CellVersion v) {
-  auto it = std::lower_bound(
-      versions_.begin(), versions_.end(), v.timestamp,
-      [](const CellVersion& a, int64_t ts) { return a.timestamp > ts; });
+namespace {
+
+std::vector<CellVersion>::iterator FindSlot(std::vector<CellVersion>& versions,
+                                            int64_t ts) {
+  return std::lower_bound(
+      versions.begin(), versions.end(), ts,
+      [](const CellVersion& a, int64_t t) { return a.timestamp > t; });
+}
+
+}  // namespace
+
+std::optional<CellVersion> Cell::AddVersion(CellVersion v) {
+  auto it = FindSlot(versions_, v.timestamp);
   if (it != versions_.end() && it->timestamp == v.timestamp) {
-    *it = std::move(v);
-  } else {
-    versions_.insert(it, std::move(v));
+    return std::exchange(*it, std::move(v));
   }
+  versions_.insert(it, std::move(v));
+  return std::nullopt;
+}
+
+void Cell::RemoveVersion(int64_t ts) {
+  auto it = FindSlot(versions_, ts);
+  if (it != versions_.end() && it->timestamp == ts) versions_.erase(it);
 }
 
 std::optional<std::string> Cell::Latest() const {

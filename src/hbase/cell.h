@@ -27,8 +27,12 @@ struct CellVersion {
 class Cell {
  public:
   /// Inserts a version, keeping descending timestamp order. Equal timestamps
-  /// overwrite (HBase semantics: same coordinates replace).
-  void AddVersion(CellVersion v);
+  /// overwrite (HBase semantics: same coordinates replace); the overwritten
+  /// version is returned so an edit log can undo the write exactly.
+  std::optional<CellVersion> AddVersion(CellVersion v);
+
+  /// Removes the version written at `ts`, if any (edit-log rollback).
+  void RemoveVersion(int64_t ts);
 
   /// Latest non-tombstone version, or nullopt if deleted/absent.
   std::optional<std::string> Latest() const;

@@ -166,7 +166,7 @@ Status Cluster::PutOnce(
   AdmissionSlot slot;
   SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
   SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  region->Put(row_key, columns, ts);
+  region->Put(row_key, columns, ts, s.durability());
   return InjectAckFault(table, region);
 }
 
@@ -225,7 +225,7 @@ Status Cluster::DeleteOnce(Session& s, const std::string& table,
   AdmissionSlot slot;
   SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
   SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  region->Delete(row_key, ts);
+  region->Delete(row_key, ts, s.durability());
   return InjectAckFault(table, region);
 }
 
@@ -260,7 +260,8 @@ StatusOr<bool> Cluster::CheckAndPutOnce(
   AdmissionSlot slot;
   SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
   SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  return region->CheckAndPut(row_key, qualifier, expected, new_value);
+  return region->CheckAndPut(row_key, qualifier, expected, new_value,
+                             s.durability());
 }
 
 StatusOr<int64_t> Cluster::Increment(Session& s, const std::string& table,
@@ -289,7 +290,7 @@ StatusOr<int64_t> Cluster::IncrementOnce(Session& s, const std::string& table,
   AdmissionSlot slot;
   SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
   SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  return region->Increment(row_key, qualifier, delta);
+  return region->Increment(row_key, qualifier, delta, s.durability());
 }
 
 StatusOr<Scanner> Cluster::OpenScanner(Session& s, const std::string& table,

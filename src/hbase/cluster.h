@@ -118,6 +118,13 @@ class Session {
   void SuppressRetries(bool on) { retry_suppressed_ = on; }
   bool retries_suppressed() const { return retry_suppressed_; }
 
+  /// Durability of this session's mutations. Offline loaders switch it to
+  /// kBulkLoad through a BulkLoadScope: their writes go straight into the
+  /// durable store without region edit-log entries (see Region). Same
+  /// single-driver threading contract as SuppressRetries.
+  void SetDurability(Durability d) { durability_ = d; }
+  Durability durability() const { return durability_; }
+
   /// Attaches (or detaches, with nullptr) a trace collector: layers below
   /// emit spans/annotations for this session's ops. Same single-driver
   /// threading contract as SuppressRetries — the slave worker inherits the
@@ -163,6 +170,7 @@ class Session {
   std::unique_ptr<CircuitBreaker> breaker_;
   obs::TraceCollector* trace_ = nullptr;
   bool retry_suppressed_ = false;
+  Durability durability_ = Durability::kLogged;
   double op_deadline_us_ = 0.0;
   const ClusterOpCounters* counters_;
   std::atomic<uint64_t> rpcs_{0};
@@ -174,6 +182,23 @@ class Session {
     tally.fetch_add(1, std::memory_order_relaxed);
     mirror->Inc();
   }
+};
+
+/// Marks a session's writes as bulk load for the scope's extent and restores
+/// the previous durability on exit. Bulk load is for offline loading ahead
+/// of online writes: it is durable without a log, so a crash keeps it.
+class BulkLoadScope {
+ public:
+  explicit BulkLoadScope(Session& s) : session_(&s), prev_(s.durability()) {
+    s.SetDurability(Durability::kBulkLoad);
+  }
+  ~BulkLoadScope() { session_->SetDurability(prev_); }
+  BulkLoadScope(const BulkLoadScope&) = delete;
+  BulkLoadScope& operator=(const BulkLoadScope&) = delete;
+
+ private:
+  Session* session_;
+  Durability prev_;
 };
 
 /// Streaming scanner with per-batch RPC cost accounting. Obtain via

@@ -10,13 +10,15 @@
 // regions of declared-dead servers to live ones.
 //
 // Failure taxonomy:
-//   - crashed: the process died (stores wiped; region WALs survive). Until
+//   - crashed: the process died. Its memstore is lost: each region rolls
+//     back to its last flush (flushed and bulk-loaded data is durable),
+//     while the region WALs — the edits since that flush — survive. Until
 //     the lease expires the master doesn't know, and RPCs to its regions
 //     fail retryably. After detection, each region is moved to a live
-//     server and its edit log replayed, so no acknowledged write is lost.
+//     server and its log tail replayed, so no acknowledged write is lost.
 //   - fenced: the server is alive but silent (heartbeat loss). Its store is
 //     intact, so reassignment moves the regions *without* replay (replaying
-//     into an intact store would duplicate versions). Until a region moves,
+//     into an intact store would re-apply its edits). Until a region moves,
 //     reads may be served degraded (bounded staleness — the fenced server
 //     cannot accept new writes) while writes queue behind the client's
 //     retry deadline.
@@ -53,7 +55,7 @@ struct FailoverConfig {
 
 enum class ServerState {
   kLive,     // heartbeating, serving
-  kCrashed,  // process gone (store wiped), lease not yet expired
+  kCrashed,  // process gone (memstore lost), lease not yet expired
   kDead,     // lease expired; regions are being / have been reassigned
 };
 
@@ -66,9 +68,9 @@ struct RegionAccess {
 class FailoverManager {
  public:
   /// Publishes the hbase_failover_* counters (heartbeat_rounds, crashes,
-  /// fenced, regions_reassigned, edits_replayed, degraded_reads,
-  /// writes_rejected) and the hbase_live_region_servers gauge into the
-  /// cluster's registry.
+  /// fenced, regions_reassigned, edits_replayed — log-tail edits since the
+  /// last flush, degraded_reads, writes_rejected) and the
+  /// hbase_live_region_servers gauge into the cluster's registry.
   FailoverManager(Cluster* cluster, int num_servers,
                   FailoverConfig config = {});
 
@@ -87,9 +89,10 @@ class FailoverManager {
   /// cluster is healthy.
   RegionAccess CheckAccess(const Region* region, bool is_write);
 
-  /// Directly crash a server (bench/test API): wipes its region stores as
-  /// the server-crash fault point would. Refuses to crash the last live
-  /// server; returns whether the crash happened.
+  /// Directly crash a server (bench/test API): its regions lose their
+  /// memstores (Region::DropStore) as the server-crash fault point would.
+  /// Refuses to crash the last live server; returns whether the crash
+  /// happened.
   bool CrashServer(int server_id);
 
   /// Directly silence a server's heartbeats (permanent heartbeat loss): the

@@ -1,5 +1,6 @@
 #include "hbase/region.h"
 
+#include <algorithm>
 #include <charconv>
 #include <mutex>
 
@@ -19,32 +20,48 @@ std::optional<RowResult> ResolveRow(const std::string& key, const RowData& row,
   return out;
 }
 
+/// Writes `columns` at `ts` into `row`, noting in `edit` (if logged) each
+/// version overwritten at an equal timestamp. A qualifier repeated within
+/// one edit overwrites the edit's own value, which is not noted.
+void ApplyColumns(RowData& row, const RegionEdit::Columns& columns, int64_t ts,
+                  bool tombstone, RegionEdit* edit) {
+  for (auto col = columns.begin(); col != columns.end(); ++col) {
+    std::optional<CellVersion> old =
+        row[col->first].AddVersion(CellVersion{ts, col->second, tombstone});
+    if (edit == nullptr || !old.has_value()) continue;
+    if (std::none_of(columns.begin(), col, [&](const auto& earlier) {
+          return earlier.first == col->first;
+        })) {
+      edit->displaced.emplace_back(col->first, std::move(*old));
+    }
+  }
+}
+
 }  // namespace
 
 void Region::Put(
     const std::string& row_key,
     const std::vector<std::pair<std::string, std::string>>& columns,
-    std::optional<int64_t> ts) {
+    std::optional<int64_t> ts, Durability durability) {
   std::unique_lock lock(mutex_);
   const int64_t t = AllocTs(ts);
-  RowData& row = rows_[row_key];
-  for (const auto& [qual, value] : columns) {
-    row[qual].AddVersion(CellVersion{t, value, /*tombstone=*/false});
-  }
-  AppendEdit(RegionEdit{row_key, columns, t, /*tombstone=*/false});
+  RegionEdit* edit = AppendEdit(durability, row_key, t, /*tombstone=*/false);
+  ApplyColumns(rows_[row_key], columns, t, /*tombstone=*/false, edit);
+  if (edit != nullptr) edit->columns = columns;
 }
 
-void Region::Delete(const std::string& row_key, std::optional<int64_t> ts) {
+void Region::Delete(const std::string& row_key, std::optional<int64_t> ts,
+                    Durability durability) {
   std::unique_lock lock(mutex_);
   auto it = rows_.find(row_key);
   if (it == rows_.end()) return;
   const int64_t t = AllocTs(ts);
-  RegionEdit edit{row_key, {}, t, /*tombstone=*/true};
-  for (auto& [qual, cell] : it->second) {
-    cell.AddVersion(CellVersion{t, "", /*tombstone=*/true});
-    edit.columns.emplace_back(qual, "");
-  }
-  AppendEdit(std::move(edit));
+  RegionEdit::Columns columns;
+  columns.reserve(it->second.size());
+  for (const auto& [qual, cell] : it->second) columns.emplace_back(qual, "");
+  RegionEdit* edit = AppendEdit(durability, row_key, t, /*tombstone=*/true);
+  ApplyColumns(it->second, columns, t, /*tombstone=*/true, edit);
+  if (edit != nullptr) edit->columns = std::move(columns);
 }
 
 void Region::DeleteColumn(const std::string& row_key,
@@ -52,12 +69,12 @@ void Region::DeleteColumn(const std::string& row_key,
                           std::optional<int64_t> ts) {
   std::unique_lock lock(mutex_);
   auto it = rows_.find(row_key);
-  if (it == rows_.end()) return;
-  auto cit = it->second.find(qualifier);
-  if (cit == it->second.end()) return;
+  if (it == rows_.end() || !it->second.contains(qualifier)) return;
   const int64_t t = AllocTs(ts);
-  cit->second.AddVersion(CellVersion{t, "", /*tombstone=*/true});
-  AppendEdit(RegionEdit{row_key, {{qualifier, ""}}, t, /*tombstone=*/true});
+  RegionEdit* edit =
+      AppendEdit(Durability::kLogged, row_key, t, /*tombstone=*/true);
+  edit->columns = {{qualifier, ""}};
+  ApplyColumns(it->second, edit->columns, t, /*tombstone=*/true, edit);
 }
 
 std::optional<RowResult> Region::Get(const std::string& row_key,
@@ -71,23 +88,27 @@ std::optional<RowResult> Region::Get(const std::string& row_key,
 bool Region::CheckAndPut(const std::string& row_key,
                          const std::string& qualifier,
                          const std::optional<std::string>& expected,
-                         const std::string& new_value) {
+                         const std::string& new_value, Durability durability) {
   std::unique_lock lock(mutex_);
-  RowData& row = rows_[row_key];
   std::optional<std::string> current;
-  auto cit = row.find(qualifier);
-  if (cit != row.end()) current = cit->second.Latest();
+  if (auto rit = rows_.find(row_key); rit != rows_.end()) {
+    auto cit = rit->second.find(qualifier);
+    if (cit != rit->second.end()) current = cit->second.Latest();
+  }
   if (current != expected) return false;
+  // Freshly allocated timestamps never collide, so nothing is displaced.
   const int64_t t = AllocTs(std::nullopt);
-  row[qualifier].AddVersion(CellVersion{t, new_value, /*tombstone=*/false});
-  AppendEdit(
-      RegionEdit{row_key, {{qualifier, new_value}}, t, /*tombstone=*/false});
+  rows_[row_key][qualifier].AddVersion(
+      CellVersion{t, new_value, /*tombstone=*/false});
+  if (RegionEdit* edit = AppendEdit(durability, row_key, t, false)) {
+    edit->columns.emplace_back(qualifier, new_value);
+  }
   return true;
 }
 
 StatusOr<int64_t> Region::Increment(const std::string& row_key,
                                     const std::string& qualifier,
-                                    int64_t delta) {
+                                    int64_t delta, Durability durability) {
   std::unique_lock lock(mutex_);
   RowData& row = rows_[row_key];
   int64_t current = 0;
@@ -106,8 +127,9 @@ StatusOr<int64_t> Region::Increment(const std::string& row_key,
   const int64_t t = AllocTs(std::nullopt);
   std::string encoded = std::to_string(next);
   row[qualifier].AddVersion(CellVersion{t, encoded, /*tombstone=*/false});
-  AppendEdit(RegionEdit{row_key, {{qualifier, std::move(encoded)}}, t,
-                        /*tombstone=*/false});
+  if (RegionEdit* edit = AppendEdit(durability, row_key, t, false)) {
+    edit->columns.emplace_back(qualifier, std::move(encoded));
+  }
   return next;
 }
 
@@ -142,6 +164,12 @@ ScanBatchResult Region::ScanBatch(const std::string& from,
 
 void Region::MajorCompact(int max_versions) {
   std::unique_lock lock(mutex_);
+  // A crashed region has no memstore to flush; its log tail still awaits
+  // replay.
+  if (store_lost_.load(std::memory_order_relaxed)) return;
+  // Flush: the memstore is now durable, so its edits need no replay. Swap
+  // rather than clear() so the log's memory is returned.
+  std::vector<RegionEdit>().swap(log_);
   for (auto row_it = rows_.begin(); row_it != rows_.end();) {
     RowData& row = row_it->second;
     for (auto cell_it = row.begin(); cell_it != row.end();) {
@@ -220,17 +248,30 @@ void Region::SplitInto(const std::string& split, Region* right) {
 
 void Region::DropStore() {
   std::unique_lock lock(mutex_);
-  rows_.clear();
+  for (auto edit = log_.rbegin(); edit != log_.rend(); ++edit) {
+    auto row_it = rows_.find(edit->row_key);
+    if (row_it == rows_.end()) continue;
+    RowData& row = row_it->second;
+    for (const auto& [qual, value] : edit->columns) {
+      auto cit = row.find(qual);
+      if (cit != row.end()) cit->second.RemoveVersion(edit->ts);
+    }
+    for (auto d = edit->displaced.rbegin(); d != edit->displaced.rend(); ++d) {
+      row[d->first].AddVersion(d->second);
+    }
+    std::erase_if(row,
+                  [](const auto& e) { return e.second.versions().empty(); });
+    if (row.empty()) rows_.erase(row_it);
+  }
   store_lost_.store(true, std::memory_order_release);
 }
 
 void Region::ReplayEdits() {
   std::unique_lock lock(mutex_);
-  for (const RegionEdit& edit : log_) {
-    RowData& row = rows_[edit.row_key];
-    for (const auto& [qual, value] : edit.columns) {
-      row[qual].AddVersion(CellVersion{edit.ts, value, edit.tombstone});
-    }
+  for (RegionEdit& edit : log_) {
+    edit.displaced.clear();
+    ApplyColumns(rows_[edit.row_key], edit.columns, edit.ts, edit.tombstone,
+                 &edit);
   }
   store_lost_.store(false, std::memory_order_release);
 }

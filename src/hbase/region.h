@@ -34,18 +34,29 @@ struct ScanBatchResult {
   size_t rows_examined = 0;  // server-side work including filtered rows
 };
 
-/// One durably-logged mutation of a region, recorded under the region latch
-/// with the exact cell timestamp it applied at. Replaying a region's edit
-/// log in order reproduces the store byte-for-byte (same versions, same
-/// timestamps), which is what lets failover move a dead server's regions
-/// without losing acknowledged writes. CheckAndPut/Increment log their
-/// *resulting* value, so replay needs no re-evaluation.
+/// One logged mutation of a region, recorded under the region latch with the
+/// exact cell timestamp it applied at. The log holds only the *memstore*:
+/// the edits since the last flush (MajorCompact). Flushed and bulk-loaded
+/// data is durable in the store itself, so a crash loses just this tail,
+/// and failover rolls it back (DropStore) and re-applies it (ReplayEdits)
+/// with the same versions and timestamps, losing no acknowledged write.
+/// CheckAndPut/Increment log their *resulting* value, so replay needs no
+/// re-evaluation.
 struct RegionEdit {
+  using Columns = std::vector<std::pair<std::string, std::string>>;
   std::string row_key;
-  std::vector<std::pair<std::string, std::string>> columns;
+  Columns columns;
   int64_t ts = 0;
   bool tombstone = false;  // true: each column entry is a tombstone marker
+  /// Versions this edit overwrote at an equal timestamp (qualifier, old
+  /// version), in overwrite order; rollback puts them back.
+  std::vector<std::pair<std::string, CellVersion>> displaced;
 };
+
+/// Whether a mutation enters the region's edit log. Bulk loads (HBase's
+/// bulk load / SKIP_WAL) write straight into the durable store: they are
+/// offline and precede the online writes, so they never need a rollback.
+enum class Durability { kLogged, kBulkLoad };
 
 class Region {
  public:
@@ -77,12 +88,15 @@ class Region {
 
   /// ts == nullopt allocates from the clock inside the latch (the normal
   /// path); explicit timestamps are for MVCC writes tagged with a txid.
+  /// A Durability of kBulkLoad skips the edit log.
   void Put(const std::string& row_key,
            const std::vector<std::pair<std::string, std::string>>& columns,
-           std::optional<int64_t> ts = std::nullopt);
+           std::optional<int64_t> ts = std::nullopt,
+           Durability durability = Durability::kLogged);
 
   void Delete(const std::string& row_key,
-              std::optional<int64_t> ts = std::nullopt);
+              std::optional<int64_t> ts = std::nullopt,
+              Durability durability = Durability::kLogged);
   void DeleteColumn(const std::string& row_key, const std::string& qualifier,
                     std::optional<int64_t> ts = std::nullopt);
 
@@ -91,13 +105,16 @@ class Region {
 
   /// Atomic compare-and-set: writes iff the current latest value of
   /// `qualifier` equals `expected` (nullopt expected == column absent).
+  /// A failed compare leaves the store untouched.
   bool CheckAndPut(const std::string& row_key, const std::string& qualifier,
                    const std::optional<std::string>& expected,
-                   const std::string& new_value);
+                   const std::string& new_value,
+                   Durability durability = Durability::kLogged);
 
   /// Atomic add on a decimal-encoded integer column; returns new value.
   StatusOr<int64_t> Increment(const std::string& row_key,
-                              const std::string& qualifier, int64_t delta);
+                              const std::string& qualifier, int64_t delta,
+                              Durability durability = Durability::kLogged);
 
   /// Returns up to `limit` rows with key in [from, end) ∩ [start_key_,
   /// end_key_), resolved through `view`. Rows with no visible cells are
@@ -105,7 +122,9 @@ class Region {
   ScanBatchResult ScanBatch(const std::string& from, const std::string& stop,
                             size_t limit, const ReadView& view) const;
 
-  /// Drops tombstones/excess versions; removes rows left empty.
+  /// Flush + compaction: the memstore becomes durable (the edit log is
+  /// emptied), then tombstones/excess versions are dropped and rows left
+  /// empty removed. No-op while the store is lost (before ReplayEdits).
   void MajorCompact(int max_versions);
 
   /// Number of live rows (rows whose cells are all tombstoned don't count).
@@ -126,16 +145,19 @@ class Region {
 
   // ---- Failover support (see hbase/failover.h) ----
 
-  /// Simulates the server process dying: the in-memory store is wiped but
-  /// the edit log (the region WAL, durably replicated in real HBase)
-  /// survives. Reads/writes are fenced by the failover layer until
-  /// ReplayEdits() rebuilds the store on the new server.
+  /// Simulates the server process dying: the memstore is lost. The edit
+  /// log (the region WAL, durably replicated in real HBase) survives, and
+  /// the store rolls back to its state at the last flush: the log tail is
+  /// undone newest edit first (each edit's versions removed, the versions
+  /// it overwrote put back, cells and rows left empty erased). Reads and
+  /// writes are fenced by the failover layer until ReplayEdits().
   void DropStore();
 
-  /// Rebuilds the store by replaying the edit log in append order with the
-  /// original timestamps. Idempotent only from an empty store: callers must
-  /// not replay into an intact store (it would duplicate versions), which is
-  /// why fenced-but-alive servers (heartbeat loss) skip replay.
+  /// Re-applies the log tail in append order with the original timestamps,
+  /// restoring the store as it was before the crash. Valid only after
+  /// DropStore(): replaying into an intact store would re-apply edits
+  /// whose versions are already there, which is why fenced-but-alive
+  /// servers (heartbeat loss) skip replay.
   void ReplayEdits();
 
   /// True between DropStore() and ReplayEdits(): the store content is gone
@@ -144,6 +166,7 @@ class Region {
     return store_lost_.load(std::memory_order_acquire);
   }
 
+  /// Edits since the last flush (the memstore a crash would lose).
   size_t EditLogSize() const;
 
  private:
@@ -151,8 +174,13 @@ class Region {
     return ts.has_value() ? *ts : clock_->fetch_add(1) + 1;
   }
 
-  /// Records one mutation in the edit log. Caller holds mutex_ exclusively.
-  void AppendEdit(RegionEdit edit) { log_.push_back(std::move(edit)); }
+  /// Opens a log entry (columns still empty) for a mutation at `ts`, or
+  /// returns null for a bulk load. Caller holds mutex_ exclusively.
+  RegionEdit* AppendEdit(Durability durability, const std::string& row_key,
+                         int64_t ts, bool tombstone) {
+    if (durability == Durability::kBulkLoad) return nullptr;
+    return &log_.emplace_back(RegionEdit{row_key, {}, ts, tombstone, {}});
+  }
 
   std::string start_key_;
   std::string end_key_;
@@ -161,7 +189,8 @@ class Region {
   std::atomic<bool> store_lost_{false};
   mutable std::shared_mutex mutex_;
   std::map<std::string, RowData> rows_;
-  std::vector<RegionEdit> log_;  // region WAL; split-partitioned with rows_
+  // Region WAL since the last flush; split-partitioned with rows_.
+  std::vector<RegionEdit> log_;
 };
 
 }  // namespace synergy::hbase

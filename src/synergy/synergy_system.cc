@@ -119,6 +119,7 @@ Status SynergySystem::CreateStorage() {
 
 Status SynergySystem::Load(hbase::Session& s, const std::string& relation,
                            const exec::Tuple& tuple) {
+  hbase::BulkLoadScope bulk(s);
   SYNERGY_RETURN_IF_ERROR(adapter_->Insert(s, relation, tuple));
   SYNERGY_RETURN_IF_ERROR(maintainer_->ApplyInsert(s, relation, tuple));
   if (std::find(config_.roots.begin(), config_.roots.end(), relation) !=

@@ -86,7 +86,8 @@ class SynergySystem {
   void SetFaultInjector(fault::FaultInjector* faults);
 
   /// Bulk load one base tuple: inserts base row, index rows, view rows and
-  /// the lock entry (for roots) — no WAL/locking (offline load path).
+  /// the lock entry (for roots) — no txn WAL, no locking, and no region
+  /// edit log: the writes are durable in the store (offline load path).
   Status Load(hbase::Session& s, const std::string& relation,
               const exec::Tuple& tuple);
 

@@ -111,11 +111,13 @@ Status MvccSystem::Setup(const tpcw::ScaleConfig& scale) {
         scale, [&](int tid, const std::string& relation,
                    const exec::Tuple& tuple) {
           hbase::Session& s = *sessions[static_cast<size_t>(tid)];
+          hbase::BulkLoadScope bulk(s);
           SYNERGY_RETURN_IF_ERROR(adapter_->Insert(s, relation, tuple));
           return maintainer_->ApplyInsert(s, relation, tuple);
         }));
   } else {
     hbase::Session load(cluster_.get());
+    hbase::BulkLoadScope bulk(load);
     SYNERGY_RETURN_IF_ERROR(tpcw::GenerateDatabase(
         scale, [&](const std::string& relation, const exec::Tuple& tuple) {
           SYNERGY_RETURN_IF_ERROR(adapter_->Insert(load, relation, tuple));

@@ -49,9 +49,9 @@ enum class FaultPoint : int {
   /// The WAL append itself fails (simulated HDFS hiccup); the write is
   /// rejected before any state changed.
   kWalAppendFailure,
-  /// A whole region server crashes: its in-memory stores are wiped and the
-  /// failover layer must detect the loss, reassign the regions and replay
-  /// their region WALs. Consulted per live server on each heartbeat round;
+  /// A whole region server crashes: its regions lose their memstores (the
+  /// edits since the last flush) and the failover layer must detect the
+  /// loss, reassign the regions and replay their region-WAL tails. Consulted per live server on each heartbeat round;
   /// filter with FaultRule::server_id to target one server.
   kRegionServerCrash,
   /// A live server's heartbeat is lost for one round: the server keeps its

@@ -109,6 +109,14 @@ bool SlaveNode::Fire(fault::FaultPoint point) {
 
 namespace {
 
+/// True for a store RPC that did not complete for infrastructure reasons
+/// (unreachable region, or admission shedding): whatever the body or replay
+/// had applied before it stays partial, so the work must be replayed.
+bool IsStoreRefusal(const Status& status) {
+  return status.code() == StatusCode::kUnavailable ||
+         status.code() == StatusCode::kResourceExhausted;
+}
+
 /// Disables session-level RPC retries for the extent of the slave write
 /// protocol: mid-body kUnavailable must reach the slave (it is the crash
 /// signal that leaks the lock for failover), and the root-level retry in
@@ -177,10 +185,11 @@ StatusOr<int64_t> SlaveNode::ExecuteWrite(hbase::Session& s,
   Status body_status = body(s);
   body_span.Close();
   if (!body_status.ok()) {
-    if (body_status.code() == StatusCode::kUnavailable) {
+    if (IsStoreRefusal(body_status)) {
       // The store became unreachable mid-transaction (e.g. an injected
-      // region fault): the slave cannot tell how much of the body applied,
-      // so it dies with the lock held and lets failover replay the entry.
+      // region fault) or shed one of its RPCs: the slave cannot tell how
+      // much of the body applied — view dirty marks may be set — so it dies
+      // with the lock held and lets failover replay the entry.
       guard.Leak();
       return Crash("mid-transaction: " + body_status.message());
     }
@@ -265,9 +274,9 @@ void TxnLayer::MaybeAutoRecover() {
     if (!any_failed) return;
   }
   // Recovery runs on the master's own session: its replay cost is not the
-  // retrying client's virtual time. A kUnavailable replay (store regions
-  // still mid-reassignment) leaves WAL state untouched; the next backoff
-  // simply tries again.
+  // retrying client's virtual time. A refused replay (store regions still
+  // mid-reassignment, or an RPC shed) leaves WAL state untouched; the next
+  // backoff simply tries again.
   hbase::Session recovery_session(cluster_);
   (void)DetectAndRecover(recovery_session, replay_fn_);
 }
@@ -284,13 +293,12 @@ Status TxnLayer::DetectAndRecover(hbase::Session& s, const ReplayFn& replay) {
     replacement->SetFaultInjector(faults_);
     for (const WalEntry& entry : slave->wal()->UncommittedEntries()) {
       const Status replayed = replay(s, entry.payload);
-      if (!replayed.ok()) {
-        // kUnavailable means the store itself is unreachable — recovery
-        // cannot proceed. Anything else is an application-level rejection:
-        // the statement failed the same way at original execution, so the
-        // entry is dropped (its lock still gets released below).
-        if (replayed.code() == StatusCode::kUnavailable) return replayed;
-      }
+      // A refused replay (store unreachable, or shed under overload) stops
+      // recovery with the entry still uncommitted: a later call retries it.
+      // Anything else is an application-level rejection: the statement
+      // failed the same way at original execution, so the entry is dropped
+      // (its lock still gets released below).
+      if (IsStoreRefusal(replayed)) return replayed;
       if (entry.lock.has_value()) {
         SYNERGY_ASSIGN_OR_RETURN(
             held,

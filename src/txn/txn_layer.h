@@ -14,8 +14,10 @@
 //  - crash-after-wal-append / crash-before-execute kill the slave at the
 //    corresponding point of ProcessWrite (the latter while holding the lock).
 //  - A body that fails with kUnavailable (e.g. an injected region-RPC fault)
-//    is treated as the slave dying mid-transaction: the lock leaks and the
-//    WAL entry stays uncommitted for failover replay. Other body errors are
+//    or kResourceExhausted (an RPC shed by admission control) is treated as
+//    the slave dying mid-transaction: the body may have applied part of its
+//    updates (view dirty marks included), so the lock leaks and the WAL
+//    entry stays uncommitted for failover replay. Other body errors are
 //    application failures — the lock is released and the error propagated.
 //  - A lost lock release (drop-lock-release) after a successful body also
 //    kills the slave: the entry stays uncommitted so replay (idempotent)
@@ -178,7 +180,9 @@ class TxnLayer {
   /// Master failure detection + recovery: replaces failed slaves with fresh
   /// ones that replay the uncommitted WAL suffix via `replay` (which must be
   /// idempotent), then release the root lock each entry recorded if it is
-  /// still held by the dead slave.
+  /// still held by the dead slave. A replay that fails kUnavailable (store
+  /// unreachable) or kResourceExhausted (shed) stops recovery with that
+  /// error and leaves the entry uncommitted, so the next call retries it.
   Status DetectAndRecover(hbase::Session& s, const ReplayFn& replay);
 
  private:
@@ -188,7 +192,7 @@ class TxnLayer {
                                     const WriteBody& body);
   /// Runs DetectAndRecover with an internal session iff any slave failed
   /// and a replay fn is registered. Replay refusals (store unreachable
-  /// mid-failover) are left for a later attempt.
+  /// mid-failover, or shed under overload) are left for a later attempt.
   void MaybeAutoRecover();
 
   hbase::Cluster* cluster_;

@@ -17,6 +17,7 @@
 
 #include "common/rng.h"
 #include "company_fixture.h"
+#include "failover_drain.h"
 #include "synergy/synergy_system.h"
 #include "synergy/view_audit.h"
 #include "systems/synergy_wrapper.h"
@@ -220,26 +221,6 @@ class ChaosScenarioTest : public ::testing::Test {
     }
   }
 
-  /// Pumps heartbeat rounds until every region sits on a live server (dead
-  /// servers' regions reassigned, crashed stores replayed). No-op when the
-  /// cluster is healthy; bounded so a stuck failover fails the audit below
-  /// instead of hanging the test.
-  void DrainFailover() {
-    for (int i = 0; i < 256; ++i) {
-      bool all_live = true;
-      for (const hbase::Region* region : cluster_.AllRegions()) {
-        if (cluster_.failover().state(region->server_id()) !=
-            hbase::ServerState::kLive) {
-          all_live = false;
-          break;
-        }
-      }
-      if (all_live) return;
-      cluster_.failover().PumpVirtualTime(
-          64 * cluster_.failover().config().us_per_tick);
-    }
-  }
-
   /// After an overload storm, residual burst phantoms stay on a server's
   /// admission books until real ops drain them (one per completion or per
   /// shed decision). Quiesce the way an operator would — trickle cheap
@@ -268,7 +249,7 @@ class ChaosScenarioTest : public ::testing::Test {
   void RecoverAndAudit() {
     faults_->DisarmAll();
     DrainOverloadBacklog();
-    DrainFailover();
+    testing::DrainFailover(cluster_);
     hbase::Session s(&cluster_);
     ASSERT_TRUE(system_->txn_layer()
                     ->DetectAndRecover(

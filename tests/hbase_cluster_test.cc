@@ -217,35 +217,42 @@ TEST_F(ClusterTest, ScannerErrorIsSurfacedViaStatus) {
   cluster_.SetFaultInjector(nullptr);
 }
 
-TEST_F(ClusterTest, ScannerDroppedWithUncheckedErrorAssertsInDebug) {
+TEST_F(ClusterTest, ScannerDroppedWithUncheckedErrorIsCounted) {
   Session s(&cluster_);
   ASSERT_TRUE(cluster_.Put(s, "t", "r", {{"a", "1"}}).ok());
   fault::FaultInjector faults(7);
   cluster_.SetFaultInjector(&faults);
+  auto dropped_total = [&] {
+    return cluster_.metrics().Snapshot().CounterValue(
+        "client_scan_errors_dropped_total");
+  };
 
   // Dropping a scanner that hit an error without ever calling status() is
-  // the silent-truncation bug; debug builds die in the destructor. (In
-  // release builds the statement simply runs, per EXPECT_DEBUG_DEATH.)
-  EXPECT_DEBUG_DEATH(
-      {
-        faults.Arm(fault::FaultPoint::kRegionRpcFailure, 0, 1);
-        auto scanner = cluster_.OpenScanner(s, "t");
-        if (scanner.ok()) {
-          RowResult row;
-          scanner->Next(&row);
-        }
-      },
-      "unchecked");
+  // the silent-truncation bug. In every build type the destructor counts
+  // it, on the session and in the registry, instead of dying.
+  {
+    faults.Arm(fault::FaultPoint::kRegionRpcFailure, 0, 1);
+    auto scanner = cluster_.OpenScanner(s, "t");
+    ASSERT_TRUE(scanner.ok());
+    RowResult row;
+    EXPECT_FALSE(scanner->Next(&row));
+  }
+  EXPECT_EQ(s.counts().scan_errors_dropped, 1u);
+  EXPECT_EQ(dropped_total(), 1u);
 
   // Moving a scanner transfers the checking responsibility: the moved-from
   // shell must destruct quietly, the destination still reports the error.
-  faults.Arm(fault::FaultPoint::kRegionRpcFailure, 0, 1);
-  auto scanner = cluster_.OpenScanner(s, "t");
-  ASSERT_TRUE(scanner.ok());
-  RowResult row;
-  scanner->Next(&row);
-  Scanner moved = std::move(*scanner);
-  EXPECT_EQ(moved.status().code(), StatusCode::kUnavailable);
+  {
+    faults.Arm(fault::FaultPoint::kRegionRpcFailure, 0, 1);
+    auto scanner = cluster_.OpenScanner(s, "t");
+    ASSERT_TRUE(scanner.ok());
+    RowResult row;
+    scanner->Next(&row);
+    Scanner moved = std::move(*scanner);
+    EXPECT_EQ(moved.status().code(), StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(s.counts().scan_errors_dropped, 1u);
+  EXPECT_EQ(dropped_total(), 1u);
   cluster_.SetFaultInjector(nullptr);
 }
 

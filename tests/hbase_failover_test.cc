@@ -7,12 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/rng.h"
+#include "company_fixture.h"
 #include "hbase/cluster.h"
 #include "hbase/region.h"
+#include "synergy/synergy_system.h"
+#include "systems/mvcc_system.h"
+#include "systems/synergy_wrapper.h"
 #include "testing/fault_injector.h"
 
 namespace synergy::hbase {
@@ -254,6 +260,205 @@ TEST(RegionWalTest, ReplayReproducesTombstonesAndRmwResults) {
   EXPECT_EQ(row->columns.at("n"), "5");
   EXPECT_EQ(row->columns.find("b"), row->columns.end())
       << "tombstoned column resurrected by replay";
+}
+
+// Everything a client can observe of a region: every row read at every
+// timestamp the history wrote (plus "latest"), and the size accounting.
+struct RegionImage {
+  std::vector<std::string> reads;
+  size_t bytes = 0;
+  size_t rows = 0;
+  bool operator==(const RegionImage&) const = default;
+};
+
+const char* const kHistoryRows[] = {"r0", "r1", "r2", "r3", "r4", "r5"};
+const char* const kHistoryQualifiers[] = {"a", "b", "c"};
+
+// Upper bound on the timestamps one history allocates (one per op at most).
+constexpr int64_t kHistoryMaxTs = 300;
+
+RegionImage Capture(const Region& region) {
+  RegionImage image;
+  std::vector<int64_t> read_ts;
+  for (int64_t ts = 0; ts <= kHistoryMaxTs; ++ts) read_ts.push_back(ts);
+  read_ts.push_back(INT64_MAX);
+  for (const int64_t ts : read_ts) {
+    for (const char* key : kHistoryRows) {
+      std::string line = std::string(key) + "@" + std::to_string(ts) + ":";
+      if (std::optional<RowResult> row = region.Get(key, ReadView{ts})) {
+        for (const auto& [qual, value] : row->columns) {
+          line += qual + "=" + value + ";";
+        }
+      }
+      image.reads.push_back(std::move(line));
+    }
+  }
+  image.bytes = region.ByteSize();
+  image.rows = region.RowCount();
+  return image;
+}
+
+/// One random mutation. A third of the timestamped writes reuse an
+/// already-written timestamp, so equal-timestamp overwrites are common.
+void RandomMutation(Rng& rng, Region& region, int64_t max_ts) {
+  const std::string key = kHistoryRows[rng.Next() % 6];
+  const std::string qual = kHistoryQualifiers[rng.Next() % 3];
+  std::optional<int64_t> ts;
+  if (max_ts > 0 && rng.Next() % 3 == 0) ts = rng.Uniform(1, max_ts);
+  // Small integers so Increment usually succeeds; "x" makes it fail.
+  const std::string value =
+      rng.Next() % 8 == 0 ? "x" : std::to_string(rng.Uniform(0, 9));
+  switch (rng.Next() % 5) {
+    case 0: {
+      std::vector<std::pair<std::string, std::string>> columns = {
+          {qual, value}};
+      if (rng.Next() % 2 == 0) {
+        columns.emplace_back(kHistoryQualifiers[rng.Next() % 3],
+                             std::to_string(rng.Uniform(0, 9)));
+      }
+      region.Put(key, columns, ts);
+      break;
+    }
+    case 1:
+      region.Delete(key, ts);
+      break;
+    case 2:
+      region.DeleteColumn(key, qual, ts);
+      break;
+    case 3: {
+      std::optional<std::string> expected;
+      if (rng.Next() % 2 == 0) {
+        if (std::optional<RowResult> row = region.Get(key, ReadView{})) {
+          if (row->columns.contains(qual)) expected = row->columns.at(qual);
+        }
+      } else if (rng.Next() % 2 == 0) {
+        expected = std::to_string(rng.Uniform(0, 9));
+      }
+      region.CheckAndPut(key, qual, expected, value);
+      break;
+    }
+    case 4:
+      (void)region.Increment(key, qual, rng.Uniform(-3, 3));
+      break;
+  }
+}
+
+// The durability split, checked exactly: a crash (DropStore) must leave the
+// region as it was at the last flush (bulk-loaded prefix included), and
+// ReplayEdits must restore it as it was just before the crash — compared
+// through Get at every timestamp written, ByteSize and RowCount. Crashes
+// land at random points of the history, which keeps running afterwards.
+// SYNERGY_CHAOS_ITERS=k runs k histories per listed seed.
+TEST(RegionWalTest, RollbackToFlushAndReplayAreExact) {
+  std::vector<uint64_t> seeds;
+  for (const uint64_t base :
+       fault::TestSeedsFromEnv({1, 2, 3, 5, 8, 13, 21, 34})) {
+    for (int k = 0; k < fault::ChaosScaleFromEnv(); ++k) {
+      seeds.push_back(base + 1000 * static_cast<uint64_t>(k));
+    }
+  }
+  for (const uint64_t seed : seeds) {
+    SCOPED_TRACE("replay with SYNERGY_TEST_SEED=" + std::to_string(seed));
+    Rng rng(seed);
+    std::atomic<int64_t> clock{0};
+    Region region("", "", &clock, 0);
+    for (int i = 0; i < 12; ++i) {
+      region.Put(kHistoryRows[rng.Next() % 6],
+                 {{kHistoryQualifiers[rng.Next() % 3],
+                   std::to_string(rng.Uniform(0, 9))}},
+                 rng.Next() % 4 == 0 && clock.load() > 0
+                     ? std::optional<int64_t>(rng.Uniform(1, clock.load()))
+                     : std::nullopt,
+                 Durability::kBulkLoad);
+    }
+    ASSERT_EQ(region.EditLogSize(), 0u) << "bulk load must skip the log";
+
+    RegionImage flushed = Capture(region);
+    int crashes = 0;
+    for (int op = 0; op < 240; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      if (rng.Next() % 40 == 0) {
+        region.MajorCompact(/*max_versions=*/3);
+        EXPECT_EQ(region.EditLogSize(), 0u) << "a flush empties the log";
+        flushed = Capture(region);
+      } else if (rng.Next() % 30 == 0 || op == 239) {
+        ++crashes;
+        const RegionImage before = Capture(region);
+        const size_t tail = region.EditLogSize();
+        for (int cycle = 0; cycle < 2; ++cycle) {  // replay keeps the log
+          region.DropStore();
+          ASSERT_EQ(Capture(region), flushed)
+              << "crash must lose exactly the memstore (cycle " << cycle
+              << ")";
+          // A crashed region cannot flush: the tail must survive this.
+          if (cycle == 1) region.MajorCompact(/*max_versions=*/3);
+          region.ReplayEdits();
+          ASSERT_EQ(Capture(region), before)
+              << "replay must restore the pre-crash store (cycle " << cycle
+              << ")";
+          ASSERT_EQ(region.EditLogSize(), tail);
+        }
+      } else {
+        RandomMutation(rng, region, clock.load());
+      }
+    }
+    EXPECT_GE(crashes, 1);
+    EXPECT_LE(clock.load(), kHistoryMaxTs) << "Capture must read every ts";
+  }
+}
+
+// Offline loading writes no region edit log: SynergySystem::Load directly
+// (no flush in between), and both wrapped setups, which flush at the end.
+TEST(RegionWalTest, LoadersLeaveNoEditLog) {
+  auto expect_no_log = [](const Cluster& cluster, const std::string& who) {
+    size_t regions = 0;
+    for (const Region* region : cluster.AllRegions()) {
+      ++regions;
+      EXPECT_EQ(region->EditLogSize(), 0u)
+          << who << ": region [" << region->start_key() << ", "
+          << region->end_key() << ") on server " << region->server_id();
+    }
+    EXPECT_GT(regions, 0u) << who;
+  };
+
+  Cluster cluster;
+  core::SynergySystem system(
+      &cluster, core::SynergyConfig{.roots = testing::CompanyRoots()});
+  ASSERT_TRUE(
+      system.Build(testing::CompanyCatalog(), testing::CompanyWorkload()).ok());
+  ASSERT_TRUE(system.CreateStorage().ok());
+  Session s(&cluster);
+  ASSERT_TRUE(system
+                  .Load(s, "Address",
+                        {{"AID", Value(1)},
+                         {"Street", Value("s")},
+                         {"City", Value("c")},
+                         {"Zip", Value("z")}})
+                  .ok());
+  ASSERT_TRUE(system
+                  .Load(s, "Employee",
+                        {{"EID", Value(1)},
+                         {"EName", Value("e")},
+                         {"EHome_AID", Value(1)},
+                         {"EOffice_AID", Value(1)},
+                         {"E_DNo", Value(1)}})
+                  .ok());
+  EXPECT_EQ(s.durability(), Durability::kLogged)
+      << "the bulk-load scope must end with the load";
+  expect_no_log(cluster, "SynergySystem::Load");
+
+  tpcw::ScaleConfig scale;
+  scale.num_customers = 20;
+  systems::SynergyWrapper synergy;
+  ASSERT_TRUE(synergy.Setup(scale).ok());
+  expect_no_log(*synergy.cluster(), "SynergyWrapper::Setup");
+  for (const systems::MvccSystem::ViewMode mode :
+       {systems::MvccSystem::ViewMode::kNone,
+        systems::MvccSystem::ViewMode::kAware}) {
+    systems::MvccSystem mvcc("mvcc", mode);
+    ASSERT_TRUE(mvcc.Setup(scale).ok());
+    expect_no_log(*mvcc.cluster(), "MvccSystem::Setup");
+  }
 }
 
 }  // namespace

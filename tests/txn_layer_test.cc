@@ -286,6 +286,45 @@ TEST_F(SlaveBackpressureTest, SlaveCrashWakesWaitingProducers) {
   }
 }
 
+TEST_F(TxnLayerTest, ShedRpcMidBodyCrashesAndReplays) {
+  // The body sets a dirty mark, then one of its RPCs is shed by admission
+  // control. That is not a clean application rejection: the partial update
+  // must not be left behind with the lock released.
+  hbase::Session s(&cluster_);
+  auto result = layer_->SubmitWrite(
+      s, "mark then shed", LockSpec{"Root", "rk"}, [this](hbase::Session& bs) {
+        SYNERGY_RETURN_IF_ERROR(
+            cluster_.Put(bs, "data", "km", {{"v", "dirty"}}));
+        return Status::ResourceExhausted("shed by admission control");
+      });
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable)
+      << result.status();
+  auto held = locks_->IsHeld(s, "Root", "rk");
+  ASSERT_TRUE(held.ok());
+  EXPECT_TRUE(*held) << "the crashed slave must keep the lock for replay";
+  EXPECT_TRUE(layer_->slave(0)->failed() || layer_->slave(1)->failed());
+
+  // A shed replay is retried by the next recovery, not dropped.
+  int replays = 0;
+  auto replay = [&](hbase::Session& rs, const std::string& payload) {
+    EXPECT_EQ(payload, "mark then shed");
+    if (++replays == 1) return Status::ResourceExhausted("replay shed");
+    return cluster_.Put(rs, "data", "km", {{"v", "clean"}});
+  };
+  EXPECT_EQ(layer_->DetectAndRecover(s, replay).code(),
+            StatusCode::kResourceExhausted);
+  held = locks_->IsHeld(s, "Root", "rk");
+  ASSERT_TRUE(held.ok());
+  EXPECT_TRUE(*held);
+  ASSERT_TRUE(layer_->DetectAndRecover(s, replay).ok());
+  EXPECT_EQ(replays, 2);
+  EXPECT_EQ(ReadData("km"), "clean");
+  held = locks_->IsHeld(s, "Root", "rk");
+  ASSERT_TRUE(held.ok());
+  EXPECT_FALSE(*held);
+  EXPECT_FALSE(layer_->slave(0)->failed() || layer_->slave(1)->failed());
+}
+
 TEST_F(TxnLayerTest, BodyFailurePropagates) {
   hbase::Session s(&cluster_);
   auto r = layer_->SubmitWrite(s, "bad", LockSpec{"Root", "rk"},

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "company_fixture.h"
+#include "failover_drain.h"
 #include "synergy/synergy_system.h"
 #include "synergy/view_audit.h"
 #include "testing/fault_injector.h"
@@ -233,6 +234,9 @@ TEST_P(ViewConsistencyFaultPropertyTest, ViewsEqualBaseJoinsUnderFaults) {
     }
 
     faults.DisarmAll();
+    // Crashed servers' regions must be back on live servers (their log
+    // tails replayed) before the txn layer can replay its own WAL.
+    testing::DrainFailover(cluster_);
     ASSERT_TRUE(system_->txn_layer()
                     ->DetectAndRecover(
                         s,
