@@ -93,26 +93,23 @@ void Populate(exec::TableAdapter& adapter, core::ViewMaintainer& maintainer,
       std::abort();
     }
   };
+  // Tuples are positional, in each relation's MicroCatalog column order.
   auto load = [&](const std::string& rel, const exec::Tuple& t) {
     must(adapter.Insert(s, rel, t));
     must(maintainer.ApplyInsert(s, rel, t));
   };
   int64_t next_order = 1, next_line = 1;
   for (int64_t c = 1; c <= customers; ++c) {
-    load("Customer", {{"c_id", Value(c)},
-                      {"c_uname", Value("USER" + std::to_string(c))},
-                      {"c_data", Value(rng.AlphaString(24))}});
+    load("Customer", {Value(c), Value("USER" + std::to_string(c)),
+                      Value(rng.AlphaString(24))});
     for (int k = 0; k < 10; ++k) {  // cardinality 1:10
       const int64_t o = next_order++;
-      load("Orders", {{"o_id", Value(o)},
-                      {"o_c_id", Value(c)},
-                      {"o_total", Value(rng.UniformReal(1, 500))},
-                      {"o_status", Value(rng.AlphaString(6))}});
+      load("Orders", {Value(o), Value(c), Value(rng.UniformReal(1, 500)),
+                      Value(rng.AlphaString(6))});
       for (int j = 0; j < 10; ++j) {  // cardinality 1:10
-        load("Order_line", {{"ol_id", Value(next_line++)},
-                            {"ol_o_id", Value(o)},
-                            {"ol_qty", Value(rng.Uniform(1, 9))},
-                            {"ol_comments", Value(rng.AlphaString(12))}});
+        load("Order_line", {Value(next_line++), Value(o),
+                            Value(rng.Uniform(1, 9)),
+                            Value(rng.AlphaString(12))});
       }
     }
   }

@@ -121,15 +121,12 @@ void BM_ExecutorHashJoin(benchmark::State& state) {
   hbase::Session load(&cluster);
   for (int i = 0; i < kCustomers; ++i) {
     (void)adapter.Insert(load, "C",
-                         {{"c_id", Value(i)},
-                          {"c_name", Value("name" + std::to_string(i))},
-                          {"c_city", Value(i % 2 ? "NYC" : "SF")}});
+                         {Value(i), Value("name" + std::to_string(i)),
+                          Value(i % 2 ? "NYC" : "SF")});
   }
   for (int i = 0; i < kOrders; ++i) {
     (void)adapter.Insert(load, "O",
-                         {{"o_id", Value(i)},
-                          {"o_c_id", Value(i % kCustomers)},
-                          {"o_total", Value(i * 1.25)}});
+                         {Value(i), Value(i % kCustomers), Value(i * 1.25)});
   }
   exec::Executor executor(&adapter);
   const sql::Statement stmt = sql::MustParse(
@@ -174,9 +171,8 @@ void BM_ExecutorAgg(benchmark::State& state) {
   hbase::Session load(&cluster);
   for (int i = 0; i < kRows; ++i) {
     (void)adapter.Insert(load, "T",
-                         {{"id", Value(i)},
-                          {"g", Value("grp" + std::to_string(i % 64))},
-                          {"v", Value(i * 0.5)}});
+                         {Value(i), Value("grp" + std::to_string(i % 64)),
+                          Value(i * 0.5)});
   }
   exec::Executor executor(&adapter);
   const sql::Statement stmt = sql::MustParse(
@@ -219,8 +215,7 @@ void BM_ExecutorTopN(benchmark::State& state) {
   hbase::Session load(&cluster);
   for (int i = 0; i < kRows; ++i) {
     (void)adapter.Insert(load, "T",
-                         {{"id", Value(i)},
-                          {"v", Value(((i * 2654435761u) % 100003) * 0.1)}});
+                         {Value(i), Value(((i * 2654435761u) % 100003) * 0.1)});
   }
   exec::Executor executor(&adapter);
   const sql::Statement stmt =
@@ -258,7 +253,7 @@ void BM_ExecutorPointLookup(benchmark::State& state) {
   }
   hbase::Session load(&cluster);
   for (int i = 0; i < 10000; ++i) {
-    (void)adapter.Insert(load, "T", {{"id", Value(i)}, {"v", Value("x")}});
+    (void)adapter.Insert(load, "T", {Value(i), Value("x")});
   }
   exec::Executor executor(&adapter);
   const sql::Statement stmt = sql::MustParse("SELECT * FROM T WHERE id = ?");

@@ -49,11 +49,10 @@ int main() {
   Must(system.CreateStorage());
 
   hbase::Session s(&cluster);
-  Must(system.Load(s, "Account", {{"a_id", Value(1)}, {"a_owner", "alice"}}));
+  // Tuples are positional, in each relation's column order.
+  Must(system.Load(s, "Account", {Value(1), Value("alice")}));
   for (int e = 1; e <= 5; ++e) {
-    Must(system.Load(s, "Entry", {{"e_id", Value(e)},
-                                  {"e_a_id", Value(1)},
-                                  {"e_amount", Value(100 * e)}}));
+    Must(system.Load(s, "Entry", {Value(e), Value(1), Value(100 * e)}));
   }
 
   // --- 1. Dirty-read detection ---------------------------------------

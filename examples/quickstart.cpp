@@ -47,16 +47,15 @@ int main() {
   std::printf("Rewritten workload:\n  %s\n",
               system.workload().Find("posts_of_blog")->sql.c_str());
 
-  // 4. Load data (views and indexes are maintained automatically).
+  // 4. Load data (views and indexes are maintained automatically). A tuple
+  //    holds one value per column, in the relation's column order.
   hbase::Session s(&cluster);
   for (int b = 1; b <= 3; ++b) {
     (void)system.Load(s, "Blog",
-                      {{"b_id", Value(b)},
-                       {"b_title", Value("blog-" + std::to_string(b))}});
+                      {Value(b), Value("blog-" + std::to_string(b))});
     for (int p = 0; p < 4; ++p) {
-      (void)system.Load(s, "Post", {{"p_id", Value(b * 10 + p)},
-                                    {"p_b_id", Value(b)},
-                                    {"p_text", Value("hello world")}});
+      (void)system.Load(s, "Post",
+                        {Value(b * 10 + p), Value(b), Value("hello world")});
     }
   }
 

@@ -837,7 +837,7 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
         SYNERGY_ASSIGN_OR_RETURN(matchable, build_access_key(step, &key));
         if (!matchable) return Status::Ok();
         SYNERGY_ASSIGN_OR_RETURN(
-            found, adapter_->GetByPkSlots(s, step.table.table, key, &scratch));
+            found, adapter_->GetByPk(s, step.table.table, key, &scratch));
         if (found) {
           SYNERGY_ASSIGN_OR_RETURN(keep, handle(scratch));
           (void)keep;
@@ -855,7 +855,7 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
                 : adapter_->ScanPkPrefix(s, step.table.table, prefix);
         SYNERGY_RETURN_IF_ERROR(scanner.status());
         while (true) {
-          SYNERGY_ASSIGN_OR_RETURN(more, scanner->NextSlots(&scratch));
+          SYNERGY_ASSIGN_OR_RETURN(more, scanner->Next(&scratch));
           if (!more) break;
           SYNERGY_ASSIGN_OR_RETURN(keep, handle(scratch));
           if (!keep) break;
@@ -866,7 +866,7 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
         SYNERGY_ASSIGN_OR_RETURN(scanner,
                                  adapter_->ScanAll(s, step.table.table));
         while (true) {
-          SYNERGY_ASSIGN_OR_RETURN(more, scanner.NextSlots(&scratch));
+          SYNERGY_ASSIGN_OR_RETURN(more, scanner.Next(&scratch));
           if (!more) break;
           SYNERGY_ASSIGN_OR_RETURN(keep, handle(scratch));
           if (!keep) break;
@@ -987,7 +987,7 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
         s.meter().Charge(model.join_probe_row_us + model.join_row_overhead_us);
         if (step.lookup.kind == AccessPath::Kind::kPkGet) {
           SYNERGY_ASSIGN_OR_RETURN(
-              found, adapter_->GetByPkSlots(s, step.table.table, key, &inner));
+              found, adapter_->GetByPk(s, step.table.table, key, &inner));
           if (found) {
             if (options.detect_dirty && inner.marked) return DirtyRead();
             SYNERGY_ASSIGN_OR_RETURN(keep,
@@ -1001,7 +1001,7 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
                   : adapter_->ScanPkPrefix(s, step.table.table, key);
           SYNERGY_RETURN_IF_ERROR(scanner.status());
           while (!stopped) {
-            SYNERGY_ASSIGN_OR_RETURN(more, scanner->NextSlots(&inner));
+            SYNERGY_ASSIGN_OR_RETURN(more, scanner->Next(&inner));
             if (!more) break;
             if (options.detect_dirty && inner.marked) return DirtyRead();
             SYNERGY_ASSIGN_OR_RETURN(keep,

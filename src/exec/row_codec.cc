@@ -1,26 +1,18 @@
 #include "exec/row_codec.h"
 
 namespace synergy::exec {
-namespace {
-
-Value TupleGet(const Tuple& tuple, const std::string& column) {
-  auto it = tuple.find(column);
-  return it == tuple.end() ? Value() : it->second;
-}
-
-}  // namespace
 
 StatusOr<std::string> EncodePkKey(const sql::RelationDef& rel,
                                   const Tuple& tuple) {
   std::vector<Value> pk;
   pk.reserve(rel.primary_key.size());
   for (const std::string& col : rel.primary_key) {
-    Value v = TupleGet(tuple, col);
+    const Value& v = tuple[static_cast<size_t>(rel.ColumnIndex(col))];
     if (v.is_null()) {
       return Status::InvalidArgument("NULL or missing PK column " + col +
                                      " for relation " + rel.name);
     }
-    pk.push_back(std::move(v));
+    pk.push_back(v);
   }
   return codec::EncodeKey(pk);
 }
@@ -35,15 +27,15 @@ StatusOr<std::string> EncodeIndexKey(const sql::IndexDef& index,
   std::vector<Value> parts;
   parts.reserve(index.indexed_columns.size() + rel.primary_key.size());
   for (const std::string& col : index.indexed_columns) {
-    parts.push_back(TupleGet(tuple, col));
+    parts.push_back(tuple[static_cast<size_t>(rel.ColumnIndex(col))]);
   }
   for (const std::string& col : rel.primary_key) {
-    Value v = TupleGet(tuple, col);
+    const Value& v = tuple[static_cast<size_t>(rel.ColumnIndex(col))];
     if (v.is_null()) {
       return Status::InvalidArgument("NULL PK column " + col +
                                      " while building index key");
     }
-    parts.push_back(std::move(v));
+    parts.push_back(v);
   }
   return codec::EncodeKey(parts);
 }
@@ -56,34 +48,19 @@ std::pair<std::string, std::string> IndexPrefixRange(
 
 std::string EncodeRowValue(const sql::RelationDef& rel, const Tuple& tuple) {
   std::string out;
-  for (const sql::Column& col : rel.columns) {
-    codec::EncodeValue(TupleGet(tuple, col.name), &out);
+  for (size_t i = 0; i < rel.columns.size(); ++i) {
+    codec::EncodeValue(tuple[i], &out);
   }
   return out;
 }
 
-std::string EncodeProjectedValue(const std::vector<std::string>& columns,
-                                 const sql::RelationDef& rel,
+std::string EncodeProjectedValue(const std::vector<int>& slots,
                                  const Tuple& tuple) {
-  (void)rel;
   std::string out;
-  for (const std::string& col : columns) {
-    codec::EncodeValue(TupleGet(tuple, col), &out);
+  for (const int slot : slots) {
+    codec::EncodeValue(tuple[static_cast<size_t>(slot)], &out);
   }
   return out;
-}
-
-StatusOr<Tuple> DecodeRowValue(const std::vector<sql::Column>& columns,
-                               std::string_view bytes) {
-  Tuple tuple;
-  for (const sql::Column& col : columns) {
-    SYNERGY_ASSIGN_OR_RETURN(v, codec::DecodeValue(&bytes, col.type));
-    if (!v.is_null()) tuple.emplace(col.name, std::move(v));
-  }
-  if (!bytes.empty()) {
-    return Status::InvalidArgument("trailing bytes in row value");
-  }
-  return tuple;
 }
 
 Status DecodeRowSlots(const std::vector<sql::Column>& columns,

@@ -8,7 +8,6 @@
 // columns.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,8 +18,9 @@
 
 namespace synergy::exec {
 
-/// Column name -> value. Missing columns read back as NULL.
-using Tuple = std::map<std::string, Value>;
+/// One relation row: a value per `RelationDef::columns` entry, in that
+/// order, NULL where absent. Every encoder below expects this full width.
+using Tuple = std::vector<Value>;
 
 /// Data qualifier holding the encoded tuple.
 inline constexpr char kDataQualifier[] = "d";
@@ -45,21 +45,15 @@ std::pair<std::string, std::string> IndexPrefixRange(
 /// Serializes the tuple's values for `rel.columns` in schema order.
 std::string EncodeRowValue(const sql::RelationDef& rel, const Tuple& tuple);
 
-/// Serializes only `columns` (for covered index rows).
-std::string EncodeProjectedValue(const std::vector<std::string>& columns,
-                                 const sql::RelationDef& rel,
+/// Serializes only the tuple's `slots`, in that order (for covered index
+/// rows; see IndexDef::covered_slots).
+std::string EncodeProjectedValue(const std::vector<int>& slots,
                                  const Tuple& tuple);
 
-/// Decodes a row value back into a tuple given the column list used to
-/// encode it (schema order for base rows; covered order for index rows).
-StatusOr<Tuple> DecodeRowValue(const std::vector<sql::Column>& columns,
-                               std::string_view bytes);
-
-/// Slot-decoding fast path: decodes the value encoded with `columns` directly
-/// into `out`, which is resized to `num_slots` and NULL-filled first. The
-/// i-th decoded column lands in slot `slot_map[i]` (a negative slot discards
-/// it); an empty `slot_map` means identity (base rows in schema order).
-/// Reuses `out`'s capacity — no per-row map or node allocations.
+/// Decodes the value encoded with `columns` into `out`, which is resized to
+/// `num_slots` and NULL-filled first. The i-th decoded column lands in slot
+/// `slot_map[i]` (a negative slot discards it); an empty `slot_map` means
+/// identity (base rows in schema order). Reuses `out`'s capacity.
 Status DecodeRowSlots(const std::vector<sql::Column>& columns,
                       const std::vector<int>& slot_map, size_t num_slots,
                       std::string_view bytes, std::vector<Value>* out);

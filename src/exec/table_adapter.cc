@@ -1,37 +1,7 @@
 #include "exec/table_adapter.h"
 
 namespace synergy::exec {
-namespace {
-
-/// Maps each covered column of `ix` to its slot in `rel.columns` order.
-std::vector<int> CoveredSlotMap(const sql::IndexDef& ix,
-                                const sql::RelationDef& rel) {
-  std::vector<int> map;
-  map.reserve(ix.covered_columns.size());
-  for (const std::string& name : ix.covered_columns) {
-    map.push_back(rel.ColumnIndex(name));
-  }
-  return map;
-}
-
-}  // namespace
-
-StatusOr<bool> TupleScanner::Next(TupleWithMeta* out) {
-  hbase::RowResult row;
-  while (scanner_.Next(&row)) {
-    auto data = row.columns.find(kDataQualifier);
-    if (data == row.columns.end()) continue;  // e.g. mark-only residue
-    SYNERGY_ASSIGN_OR_RETURN(tuple, DecodeRowValue(columns_, data->second));
-    out->tuple = std::move(tuple);
-    auto mark = row.columns.find(kMarkQualifier);
-    out->marked = mark != row.columns.end() && mark->second == "1";
-    return true;
-  }
-  SYNERGY_RETURN_IF_ERROR(scanner_.status());
-  return false;
-}
-
-StatusOr<bool> TupleScanner::NextSlots(SlotRow* out) {
+StatusOr<bool> TupleScanner::Next(SlotRow* out) {
   hbase::RowResult row;
   while (scanner_.Next(&row)) {
     // Single pass over the (few) columns: pick out data + mark together.
@@ -67,6 +37,11 @@ Status TableAdapter::Insert(hbase::Session& s, const std::string& relation,
                             const Tuple& tuple) {
   const sql::RelationDef* rel = catalog_->FindRelation(relation);
   if (rel == nullptr) return Status::NotFound("relation " + relation);
+  if (tuple.size() != rel->columns.size()) {
+    return Status::InvalidArgument(
+        "tuple has " + std::to_string(tuple.size()) + " values; relation " +
+        relation + " has " + std::to_string(rel->columns.size()) + " columns");
+  }
   SYNERGY_ASSIGN_OR_RETURN(key, EncodePkKey(*rel, tuple));
   SYNERGY_RETURN_IF_ERROR(cluster_->Put(
       s, relation, key, {{kDataQualifier, EncodeRowValue(*rel, tuple)}}));
@@ -80,8 +55,7 @@ Status TableAdapter::WriteIndexRows(hbase::Session& s,
     SYNERGY_ASSIGN_OR_RETURN(ikey, EncodeIndexKey(*ix, rel, tuple));
     SYNERGY_RETURN_IF_ERROR(cluster_->Put(
         s, ix->name, ikey,
-        {{kDataQualifier,
-          EncodeProjectedValue(ix->covered_columns, rel, tuple)}}));
+        {{kDataQualifier, EncodeProjectedValue(ix->covered_slots, tuple)}}));
   }
   return Status::Ok();
 }
@@ -96,33 +70,10 @@ Status TableAdapter::DeleteIndexRows(hbase::Session& s,
   return Status::Ok();
 }
 
-StatusOr<std::optional<TupleWithMeta>> TableAdapter::GetByPk(
-    hbase::Session& s, const std::string& relation,
-    const std::vector<Value>& pk_values) {
-  const sql::RelationDef* rel = catalog_->FindRelation(relation);
-  if (rel == nullptr) return Status::NotFound("relation " + relation);
-  const std::string key = EncodePkKeyFromValues(pk_values);
-  StatusOr<hbase::RowResult> row = cluster_->Get(s, relation, key);
-  if (!row.ok()) {
-    if (row.status().code() == StatusCode::kNotFound) {
-      return std::optional<TupleWithMeta>();
-    }
-    return row.status();
-  }
-  auto data = row->columns.find(kDataQualifier);
-  if (data == row->columns.end()) return std::optional<TupleWithMeta>();
-  SYNERGY_ASSIGN_OR_RETURN(tuple, DecodeRowValue(rel->columns, data->second));
-  TupleWithMeta out;
-  out.tuple = std::move(tuple);
-  auto mark = row->columns.find(kMarkQualifier);
-  out.marked = mark != row->columns.end() && mark->second == "1";
-  return std::optional<TupleWithMeta>(std::move(out));
-}
-
-StatusOr<bool> TableAdapter::GetByPkSlots(hbase::Session& s,
-                                          const std::string& relation,
-                                          const std::vector<Value>& pk_values,
-                                          SlotRow* out) {
+StatusOr<bool> TableAdapter::GetByPk(hbase::Session& s,
+                                     const std::string& relation,
+                                     const std::vector<Value>& pk_values,
+                                     SlotRow* out) {
   const sql::RelationDef* rel = catalog_->FindRelation(relation);
   if (rel == nullptr) return Status::NotFound("relation " + relation);
   EncodePkKeyFromValuesInto(pk_values, &out->key_scratch);
@@ -145,9 +96,10 @@ Status TableAdapter::DeleteByPk(hbase::Session& s, const std::string& relation,
                                 const std::vector<Value>& pk_values) {
   const sql::RelationDef* rel = catalog_->FindRelation(relation);
   if (rel == nullptr) return Status::NotFound("relation " + relation);
-  SYNERGY_ASSIGN_OR_RETURN(existing, GetByPk(s, relation, pk_values));
-  if (!existing.has_value()) return Status::Ok();
-  SYNERGY_RETURN_IF_ERROR(DeleteIndexRows(s, *rel, existing->tuple));
+  SlotRow existing;
+  SYNERGY_ASSIGN_OR_RETURN(found, GetByPk(s, relation, pk_values, &existing));
+  if (!found) return Status::Ok();
+  SYNERGY_RETURN_IF_ERROR(DeleteIndexRows(s, *rel, existing.values));
   return cluster_->Delete(s, relation, EncodePkKeyFromValues(pk_values));
 }
 
@@ -157,37 +109,36 @@ Status TableAdapter::UpdateByPk(
     const std::vector<std::pair<std::string, Value>>& sets) {
   const sql::RelationDef* rel = catalog_->FindRelation(relation);
   if (rel == nullptr) return Status::NotFound("relation " + relation);
+  std::vector<size_t> set_slots;
+  set_slots.reserve(sets.size());
   for (const auto& [col, value] : sets) {
     if (rel->IsPrimaryKeyColumn(col)) {
       return Status::InvalidArgument("cannot update PK column " + col);
     }
-    if (!rel->HasColumn(col)) {
-      return Status::InvalidArgument("unknown column " + col);
-    }
+    const int slot = rel->ColumnIndex(col);
+    if (slot < 0) return Status::InvalidArgument("unknown column " + col);
+    set_slots.push_back(static_cast<size_t>(slot));
   }
-  SYNERGY_ASSIGN_OR_RETURN(existing, GetByPk(s, relation, pk_values));
-  if (!existing.has_value()) {
+  SlotRow existing;
+  SYNERGY_ASSIGN_OR_RETURN(found, GetByPk(s, relation, pk_values, &existing));
+  if (!found) {
     return Status::Ok();  // SQL UPDATE of an absent row affects zero rows
   }
   // Remove stale index rows if any indexed column changes.
-  Tuple updated = existing->tuple;
-  for (const auto& [col, value] : sets) {
-    if (value.is_null()) {
-      updated.erase(col);
-    } else {
-      updated[col] = value;
-    }
+  Tuple updated = existing.values;
+  for (size_t i = 0; i < sets.size(); ++i) {
+    updated[set_slots[i]] = sets[i].second;
   }
   for (const sql::IndexDef* ix : catalog_->IndexesFor(relation)) {
-    SYNERGY_ASSIGN_OR_RETURN(old_key, EncodeIndexKey(*ix, *rel, existing->tuple));
+    SYNERGY_ASSIGN_OR_RETURN(old_key,
+                             EncodeIndexKey(*ix, *rel, existing.values));
     SYNERGY_ASSIGN_OR_RETURN(new_key, EncodeIndexKey(*ix, *rel, updated));
     if (old_key != new_key) {
       SYNERGY_RETURN_IF_ERROR(cluster_->Delete(s, ix->name, old_key));
     }
     SYNERGY_RETURN_IF_ERROR(cluster_->Put(
         s, ix->name, new_key,
-        {{kDataQualifier,
-          EncodeProjectedValue(ix->covered_columns, *rel, updated)}}));
+        {{kDataQualifier, EncodeProjectedValue(ix->covered_slots, updated)}}));
   }
   return cluster_->Put(
       s, relation, EncodePkKeyFromValues(pk_values),
@@ -215,7 +166,7 @@ StatusOr<TupleScanner> TableAdapter::ScanIndexPrefix(
                            cluster_->OpenScanner(s, index_name, start, stop));
   return TupleScanner(std::move(scanner),
                       ProjectColumns(*rel, ix->covered_columns),
-                      CoveredSlotMap(*ix, *rel), rel->columns.size());
+                      ix->covered_slots, rel->columns.size());
 }
 
 StatusOr<TupleScanner> TableAdapter::ScanPkPrefix(
@@ -243,10 +194,11 @@ Status TableAdapter::SetMarkWithIndexes(hbase::Session& s,
   const sql::RelationDef* rel = catalog_->FindRelation(relation);
   if (rel == nullptr) return Status::NotFound("relation " + relation);
   SYNERGY_RETURN_IF_ERROR(MarkRow(s, relation, pk_values, marked));
-  SYNERGY_ASSIGN_OR_RETURN(existing, GetByPk(s, relation, pk_values));
-  if (!existing.has_value()) return Status::Ok();
+  SlotRow existing;
+  SYNERGY_ASSIGN_OR_RETURN(found, GetByPk(s, relation, pk_values, &existing));
+  if (!found) return Status::Ok();
   for (const sql::IndexDef* ix : catalog_->IndexesFor(relation)) {
-    SYNERGY_ASSIGN_OR_RETURN(ikey, EncodeIndexKey(*ix, *rel, existing->tuple));
+    SYNERGY_ASSIGN_OR_RETURN(ikey, EncodeIndexKey(*ix, *rel, existing.values));
     SYNERGY_RETURN_IF_ERROR(cluster_->Put(
         s, ix->name, ikey, {{kMarkQualifier, marked ? "1" : "0"}}));
   }

@@ -7,7 +7,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,29 +17,23 @@
 
 namespace synergy::exec {
 
-struct TupleWithMeta {
-  Tuple tuple;
-  bool marked = false;  // dirty-mark set by an in-flight Synergy update
-};
-
-/// Reusable slot-decoded row buffer: values in RelationDef column order
-/// (NULL where absent), plus a scratch byte-key buffer so repeated point
-/// lookups reuse one allocation. The executor keeps one per operator.
+/// Reusable decoded-row buffer: the row's Tuple (RelationDef column order,
+/// NULL where absent), its dirty mark, plus a scratch byte-key buffer so
+/// repeated point lookups reuse one allocation. The executor keeps one per
+/// operator.
 struct SlotRow {
-  std::vector<Value> values;
-  bool marked = false;
+  Tuple values;
+  bool marked = false;  // dirty-mark set by an in-flight Synergy update
   std::string key_scratch;
 };
 
 /// Streaming typed scan over a relation or one of its indexes.
 class TupleScanner {
  public:
-  /// Returns false at end of stream; Status error on decode failure.
-  StatusOr<bool> Next(TupleWithMeta* out);
-
-  /// Slot-decoding variant: fills `out->values` in the owning relation's
-  /// column order, reusing its capacity (no per-row map allocations).
-  StatusOr<bool> NextSlots(SlotRow* out);
+  /// Fills `out->values` in the owning relation's column order, reusing its
+  /// capacity. Returns false at end of stream; Status error on decode
+  /// failure.
+  StatusOr<bool> Next(SlotRow* out);
 
  private:
   friend class TableAdapter;
@@ -71,20 +64,16 @@ class TableAdapter {
   /// Creates store tables for a relation and all its indexes.
   Status CreateStorage(const std::string& relation);
 
-  /// Inserts a tuple and its index rows. Does not check uniqueness.
+  /// Inserts a tuple and its index rows. Does not check uniqueness. Rejects
+  /// a tuple whose width is not the relation's column count.
   Status Insert(hbase::Session& s, const std::string& relation,
                 const Tuple& tuple);
 
-  /// Point lookup by primary key values.
-  StatusOr<std::optional<TupleWithMeta>> GetByPk(
-      hbase::Session& s, const std::string& relation,
-      const std::vector<Value>& pk_values);
-
-  /// Slot-decoding point lookup: returns true and fills `row` (values in
-  /// relation column order) when the row exists. Reuses `row`'s buffers.
-  StatusOr<bool> GetByPkSlots(hbase::Session& s, const std::string& relation,
-                              const std::vector<Value>& pk_values,
-                              SlotRow* row);
+  /// Point lookup by primary key values: returns true and fills `row`
+  /// (values in relation column order) when the row exists. Reuses `row`'s
+  /// buffers.
+  StatusOr<bool> GetByPk(hbase::Session& s, const std::string& relation,
+                         const std::vector<Value>& pk_values, SlotRow* row);
 
   /// Deletes the row and its index rows (reads the row first to build index
   /// keys, as in §VII-B). No-op if absent.

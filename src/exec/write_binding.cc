@@ -22,12 +22,17 @@ StatusOr<BoundWrite> BindWriteStatement(const sql::Statement& bound_stmt,
   if (const auto* ins = std::get_if<sql::InsertStatement>(&bound_stmt)) {
     out.kind = BoundWrite::Kind::kInsert;
     out.relation = ins->table;
-    if (catalog.FindRelation(ins->table) == nullptr) {
-      return Status::NotFound("relation " + ins->table);
-    }
+    const sql::RelationDef* rel = catalog.FindRelation(ins->table);
+    if (rel == nullptr) return Status::NotFound("relation " + ins->table);
+    out.tuple.resize(rel->columns.size());
     for (size_t i = 0; i < ins->columns.size(); ++i) {
+      const int slot = rel->ColumnIndex(ins->columns[i]);
+      if (slot < 0) {
+        return Status::InvalidArgument("unknown column " + ins->columns[i] +
+                                       " in INSERT into " + ins->table);
+      }
       SYNERGY_ASSIGN_OR_RETURN(v, ResolveConstOperand(ins->values[i], {}));
-      if (!v.is_null()) out.tuple[ins->columns[i]] = std::move(v);
+      if (!v.is_null()) out.tuple[static_cast<size_t>(slot)] = std::move(v);
     }
     return out;
   }

@@ -17,7 +17,7 @@ struct BoundWrite {
   enum class Kind { kInsert, kUpdate, kDelete };
   Kind kind = Kind::kInsert;
   std::string relation;
-  Tuple tuple;                   // insert: the full tuple
+  Tuple tuple;                   // insert: the full, schema-ordered tuple
   std::vector<Value> pk_values;  // update/delete: the row key
   std::vector<std::pair<std::string, Value>> sets;  // update
 
@@ -25,9 +25,11 @@ struct BoundWrite {
   std::string WriteKey(const sql::Catalog& catalog) const;
 };
 
-/// Binds a parameter-free (already literal-bound) write statement. Write
-/// statements that do not specify every key attribute are rejected with
-/// kUnimplemented (§IV system limitations).
+/// Binds a parameter-free (already literal-bound) write statement. INSERT
+/// column names are resolved to slots here, once per statement; a column the
+/// relation lacks is rejected with kInvalidArgument. Write statements that
+/// do not specify every key attribute are rejected with kUnimplemented (§IV
+/// system limitations).
 StatusOr<BoundWrite> BindWriteStatement(const sql::Statement& bound_stmt,
                                         const sql::Catalog& catalog);
 

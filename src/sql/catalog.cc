@@ -83,6 +83,15 @@ Status Catalog::AddIndex(IndexDef def) {
   if (indexes_.contains(def.name)) {
     return Status::AlreadyExists("index " + def.name);
   }
+  def.covered_slots.clear();
+  for (const std::string& col : def.covered_columns) {
+    const int slot = rel->ColumnIndex(col);
+    if (slot < 0) {
+      return Status::InvalidArgument("covered column " + col + " not in " +
+                                     def.relation);
+    }
+    def.covered_slots.push_back(slot);
+  }
   indexes_.emplace(def.name, std::move(def));
   return Status::Ok();
 }

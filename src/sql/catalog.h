@@ -58,6 +58,9 @@ struct IndexDef {
   std::vector<std::string> indexed_columns;
   /// X(R): all covered attributes (includes indexed columns and the PK).
   std::vector<std::string> covered_columns = {};
+  /// Slot of each covered column in the relation's columns; set by
+  /// Catalog::AddIndex, so encoders never look columns up by name per row.
+  std::vector<int> covered_slots = {};
   /// True when the indexed tuple uniquely identifies a row (e.g. c_uname).
   bool unique = false;
   IndexCardinality cardinality = IndexCardinality::kUnknown;

@@ -79,6 +79,26 @@ Status SynergySystem::Build(const sql::Catalog& base_catalog,
   workload_ = std::move(design.workload);
   trees_ = std::move(design.trees);
   rewritten_ids_ = std::move(design.rewritten_ids);
+  for (const RootedTree& tree : trees_) {
+    for (const std::string& member : tree.Members()) {
+      if (lock_chains_.contains(member)) continue;
+      LockChain chain{.root = tree.root(), .hops = {}};
+      const std::vector<std::string> path = tree.PathFromRoot(member);
+      for (size_t i = path.size() - 1; i >= 1; --i) {
+        const TreeEdge* edge = tree.EdgeTo(path[i]);
+        const sql::RelationDef* child = catalog_.FindRelation(path[i]);
+        if (edge == nullptr || child == nullptr) {
+          return Status::Internal("broken tree edge to " + path[i]);
+        }
+        LockChain::Hop& hop = chain.hops.emplace_back();
+        hop.parent = path[i - 1];
+        for (const std::string& col : edge->fk.columns) {
+          hop.fk_slots.push_back(child->ColumnIndex(col));
+        }
+      }
+      lock_chains_.emplace(member, std::move(chain));
+    }
+  }
 
   adapter_ = std::make_unique<exec::TableAdapter>(cluster_, &catalog_);
   executor_ = std::make_unique<exec::Executor>(adapter_.get());
@@ -157,42 +177,39 @@ StatusOr<exec::AnalyzeResult> SynergySystem::ExplainAnalyzeRead(
 
 StatusOr<std::optional<txn::LockSpec>> SynergySystem::DeriveLockSpec(
     hbase::Session& s, const std::string& relation, const exec::Tuple& tuple) {
-  const RootedTree* tree = nullptr;
-  for (const RootedTree& t : trees_) {
-    if (t.Contains(relation)) {
-      tree = &t;
-      break;
-    }
+  auto it = lock_chains_.find(relation);
+  if (it == lock_chains_.end()) return std::optional<txn::LockSpec>();
+  const LockChain& chain = it->second;
+  const sql::RelationDef* rel = catalog_.FindRelation(relation);
+  if (tuple.size() != rel->columns.size()) {
+    return Status::InvalidArgument("tuple width does not match relation " +
+                                   relation);
   }
-  if (tree == nullptr) return std::optional<txn::LockSpec>();
 
   // Walk up the FK chain reading ancestors until the root's PK is known.
-  const std::vector<std::string> path = tree->PathFromRoot(relation);
-  exec::Tuple current = tuple;
-  for (size_t i = path.size() - 1; i >= 1; --i) {
-    const TreeEdge* edge = tree->EdgeTo(path[i]);
-    if (edge == nullptr) return Status::Internal("broken tree edge");
-    std::vector<Value> parent_pk;
-    for (const std::string& col : edge->fk.columns) {
-      auto it = current.find(col);
-      if (it == current.end() || it->second.is_null()) {
+  exec::SlotRow parent;
+  const exec::Tuple* current = &tuple;
+  std::vector<Value> parent_pk;
+  for (size_t h = 0; h < chain.hops.size(); ++h) {
+    parent_pk.clear();
+    for (const int slot : chain.hops[h].fk_slots) {
+      if (slot < 0 || (*current)[static_cast<size_t>(slot)].is_null()) {
         // Dangling FK: no root row to lock (FKs are not enforced, §IV);
         // fall back to locking nothing.
         return std::optional<txn::LockSpec>();
       }
-      parent_pk.push_back(it->second);
+      parent_pk.push_back((*current)[static_cast<size_t>(slot)]);
     }
-    if (i == 1) {
+    if (h + 1 == chain.hops.size()) {
       return std::optional<txn::LockSpec>(txn::LockSpec{
-          tree->root(), exec::EncodePkKeyFromValues(parent_pk)});
+          chain.root, exec::EncodePkKeyFromValues(parent_pk)});
     }
-    SYNERGY_ASSIGN_OR_RETURN(parent,
-                             adapter_->GetByPk(s, path[i - 1], parent_pk));
-    if (!parent.has_value()) return std::optional<txn::LockSpec>();
-    current = parent->tuple;
+    SYNERGY_ASSIGN_OR_RETURN(
+        found, adapter_->GetByPk(s, chain.hops[h].parent, parent_pk, &parent));
+    if (!found) return std::optional<txn::LockSpec>();
+    current = &parent.values;
   }
   // relation itself is the root.
-  const sql::RelationDef* rel = catalog_.FindRelation(relation);
   SYNERGY_ASSIGN_OR_RETURN(key, exec::EncodePkKey(*rel, tuple));
   return std::optional<txn::LockSpec>(txn::LockSpec{relation, key});
 }
@@ -272,14 +289,22 @@ StatusOr<WriteResult> SynergySystem::ExecuteWrite(
   // Derive the single root lock (reads ancestor rows as needed). For
   // update/delete the FK chain starts from the current base row.
   obs::ScopedSpan lock_span(s.trace(), "synergy.derive_lock");
-  exec::Tuple chain_tuple = write.tuple;
+  exec::SlotRow existing;
   if (write.kind != exec::BoundWrite::Kind::kInsert) {
-    SYNERGY_ASSIGN_OR_RETURN(
-        existing, adapter_->GetByPk(s, write.relation, write.pk_values));
-    if (existing.has_value()) chain_tuple = existing->tuple;
+    SYNERGY_ASSIGN_OR_RETURN(found, adapter_->GetByPk(s, write.relation,
+                                                      write.pk_values,
+                                                      &existing));
+    // An absent row derives its lock from an all-NULL tuple.
+    if (!found) {
+      existing.values.assign(
+          catalog_.FindRelation(write.relation)->columns.size(), Value());
+    }
   }
-  SYNERGY_ASSIGN_OR_RETURN(lock,
-                           DeriveLockSpec(s, write.relation, chain_tuple));
+  SYNERGY_ASSIGN_OR_RETURN(
+      lock, DeriveLockSpec(s, write.relation,
+                           write.kind == exec::BoundWrite::Kind::kInsert
+                               ? write.tuple
+                               : existing.values));
   lock_span.Close();
 
   const std::string payload = sql::StatementToString(bound);

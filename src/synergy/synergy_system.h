@@ -11,6 +11,7 @@
 //   sys.Execute(session, statement_ast, params);
 #pragma once
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -111,7 +112,8 @@ class SynergySystem {
 
   /// Root lock this write must take, derived by walking the FK chain from
   /// the written row up to its rooted tree's root (§VIII-A). nullopt when
-  /// the relation is not in any rooted tree.
+  /// the relation is not in any rooted tree. `tuple` is a full row of
+  /// `relation` (kInvalidArgument otherwise).
   StatusOr<std::optional<txn::LockSpec>> DeriveLockSpec(
       hbase::Session& s, const std::string& relation, const exec::Tuple& tuple);
 
@@ -125,6 +127,18 @@ class SynergySystem {
   Status RunDelete(hbase::Session& s, const exec::BoundWrite& write);
   Status RunUpdate(hbase::Session& s, const exec::BoundWrite& write);
 
+  /// The FK walk from one rooted-tree member up to its root, resolved to
+  /// slots once at Build.
+  struct LockChain {
+    std::string root;
+    struct Hop {
+      std::string parent;         // relation the FK references
+      std::vector<int> fk_slots;  // FK columns' slots in the child row
+    };
+    /// Child-most hop first; empty when the relation is the root.
+    std::vector<Hop> hops;
+  };
+
   hbase::Cluster* cluster_;
   SynergyConfig config_;
   fault::FaultInjector* faults_ = nullptr;
@@ -132,6 +146,8 @@ class SynergySystem {
   sql::Workload workload_;
   std::vector<RootedTree> trees_;
   std::vector<std::string> rewritten_ids_;
+  /// Per relation, the chain of the first rooted tree containing it.
+  std::map<std::string, LockChain> lock_chains_;
   std::unique_ptr<exec::TableAdapter> adapter_;
   std::unique_ptr<exec::Executor> executor_;
   std::unique_ptr<ViewMaintainer> maintainer_;

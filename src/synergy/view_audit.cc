@@ -124,7 +124,7 @@ StatusOr<ViewAuditReport> AuditViewConsistency(hbase::Session& s,
     std::vector<std::string> view_rows;
     exec::SlotRow row;
     while (true) {
-      StatusOr<bool> more_or = scanner.NextSlots(&row);
+      StatusOr<bool> more_or = scanner.Next(&row);
       if (!more_or.ok()) {
         return Status(more_or.status().code(),
                       "auditing " + view->name + " (storage scan): " +

@@ -4,6 +4,32 @@
 
 namespace synergy::core {
 
+ViewMaintainer::ViewMaintainer(exec::TableAdapter* adapter)
+    : adapter_(adapter) {
+  const sql::Catalog& catalog = adapter_->catalog();
+  for (const sql::ViewDef* view : catalog.Views()) {
+    const sql::RelationDef* storage = catalog.FindRelation(view->name);
+    ChainPlan plan{.view = view,
+                   .width = storage->columns.size(),
+                   .member_slots = {},
+                   .fk_slots = {}};
+    for (size_t i = 0; i < view->relations.size(); ++i) {
+      const sql::RelationDef* member =
+          catalog.FindRelation(view->relations[i]);
+      std::vector<int>& slots = plan.member_slots.emplace_back();
+      for (const sql::Column& col : member->columns) {
+        slots.push_back(storage->ColumnIndex(col.name));
+      }
+      std::vector<int>& fk = plan.fk_slots.emplace_back();
+      if (i == 0) continue;
+      for (const std::string& col : view->edges[i].columns) {
+        fk.push_back(member->ColumnIndex(col));
+      }
+    }
+    plans_.push_back(std::move(plan));
+  }
+}
+
 bool ViewMaintainer::UpdateApplies(const sql::ViewDef& view,
                                    const std::string& relation) {
   return std::find(view.relations.begin(), view.relations.end(), relation) !=
@@ -13,42 +39,47 @@ bool ViewMaintainer::UpdateApplies(const sql::ViewDef& view,
 Status ViewMaintainer::ApplyInsert(hbase::Session& s,
                                    const std::string& relation,
                                    const exec::Tuple& tuple) {
-  const sql::Catalog& catalog = adapter_->catalog();
-  for (const sql::ViewDef* view : catalog.Views()) {
-    if (!InsertApplies(*view, relation)) continue;
+  exec::SlotRow parent;
+  std::vector<Value> parent_pk;
+  for (const ChainPlan& plan : plans_) {
+    const sql::ViewDef& view = *plan.view;
+    if (!InsertApplies(view, relation)) continue;
     // Walk the FK chain from the inserted (last) relation up to the view
-    // head, reading one ancestor tuple per hop.
-    exec::Tuple view_tuple = tuple;
-    exec::Tuple current = tuple;
-    bool complete = true;
-    for (size_t i = view->relations.size() - 1; i >= 1; --i) {
-      const sql::ForeignKey& fk = view->edges[i];
-      std::vector<Value> parent_pk;
-      parent_pk.reserve(fk.columns.size());
-      bool missing_fk = false;
-      for (const std::string& col : fk.columns) {
-        auto it = current.find(col);
-        if (it == current.end() || it->second.is_null()) {
-          missing_fk = true;
-          break;
-        }
-        parent_pk.push_back(it->second);
+    // head, reading one ancestor tuple per hop and placing each member's
+    // values in its view slots.
+    const size_t last = view.relations.size() - 1;
+    exec::Tuple view_row(plan.width);
+    auto place = [&](size_t member, const exec::Tuple& row) {
+      const std::vector<int>& slots = plan.member_slots[member];
+      for (size_t j = 0; j < slots.size(); ++j) {
+        if (slots[j] >= 0) view_row[static_cast<size_t>(slots[j])] = row[j];
       }
-      if (missing_fk) {
+    };
+    place(last, tuple);
+    const exec::Tuple* current = &tuple;
+    bool complete = true;
+    for (size_t i = last; i >= 1; --i) {
+      parent_pk.clear();
+      for (const int slot : plan.fk_slots[i]) {
+        if (slot < 0 || (*current)[static_cast<size_t>(slot)].is_null()) break;
+        parent_pk.push_back((*current)[static_cast<size_t>(slot)]);
+      }
+      if (parent_pk.size() != plan.fk_slots[i].size()) {
         complete = false;
         break;
       }
       SYNERGY_ASSIGN_OR_RETURN(
-          parent, adapter_->GetByPk(s, view->relations[i - 1], parent_pk));
-      if (!parent.has_value()) {
+          found, adapter_->GetByPk(s, view.relations[i - 1], parent_pk,
+                                   &parent));
+      if (!found) {
         complete = false;  // FK constraints are not enforced (§IV)
         break;
       }
-      for (const auto& [col, value] : parent->tuple) view_tuple[col] = value;
-      current = parent->tuple;
+      place(i - 1, parent.values);
+      current = &parent.values;
     }
     if (!complete) continue;
-    SYNERGY_RETURN_IF_ERROR(adapter_->Insert(s, view->name, view_tuple));
+    SYNERGY_RETURN_IF_ERROR(adapter_->Insert(s, view.name, view_row));
   }
   return Status::Ok();
 }
@@ -69,15 +100,16 @@ ViewMaintainer::FindAffected(hbase::Session& s, const std::string& relation,
                              const std::vector<Value>& pk_values) {
   const sql::Catalog& catalog = adapter_->catalog();
   std::vector<AffectedRows> out;
+  exec::SlotRow row;
   for (const sql::ViewDef* view : catalog.Views()) {
     if (!UpdateApplies(*view, relation)) continue;
     AffectedRows affected;
     affected.view = view->name;
     if (view->relations.back() == relation) {
       // The view key is the base key: exactly one row.
-      SYNERGY_ASSIGN_OR_RETURN(row,
-                               adapter_->GetByPk(s, view->name, pk_values));
-      if (row.has_value()) affected.view_pks.push_back(pk_values);
+      SYNERGY_ASSIGN_OR_RETURN(
+          found, adapter_->GetByPk(s, view->name, pk_values, &row));
+      if (found) affected.view_pks.push_back(pk_values);
       out.push_back(std::move(affected));
       continue;
     }
@@ -97,20 +129,27 @@ ViewMaintainer::FindAffected(hbase::Session& s, const std::string& relation,
         break;
       }
     }
+    // Slots resolved once per statement, not per scanned row.
+    const int attr_slot = storage->ColumnIndex(attr);
+    std::vector<size_t> pk_slots;
+    for (const std::string& col : storage->primary_key) {
+      pk_slots.push_back(static_cast<size_t>(storage->ColumnIndex(col)));
+    }
     auto collect = [&](exec::TupleScanner scanner) -> Status {
-      exec::TupleWithMeta twm;
       while (true) {
-        SYNERGY_ASSIGN_OR_RETURN(more, scanner.Next(&twm));
+        SYNERGY_ASSIGN_OR_RETURN(more, scanner.Next(&row));
         if (!more) break;
-        auto it = twm.tuple.find(attr);
-        if (it == twm.tuple.end() || !(it->second == pk_values[0])) continue;
+        if (attr_slot < 0 ||
+            !(row.values[static_cast<size_t>(attr_slot)] == pk_values[0])) {
+          continue;
+        }
         std::vector<Value> vpk;
-        for (const std::string& col : storage->primary_key) {
-          auto pit = twm.tuple.find(col);
-          if (pit == twm.tuple.end()) {
-            return Status::Internal("view row missing PK column " + col);
+        for (size_t i = 0; i < pk_slots.size(); ++i) {
+          if (row.values[pk_slots[i]].is_null()) {
+            return Status::Internal("view row missing PK column " +
+                                    storage->primary_key[i]);
           }
-          vpk.push_back(pit->second);
+          vpk.push_back(row.values[pk_slots[i]]);
         }
         affected.view_pks.push_back(std::move(vpk));
       }

@@ -12,7 +12,9 @@ namespace synergy::core {
 
 class ViewMaintainer {
  public:
-  explicit ViewMaintainer(exec::TableAdapter* adapter) : adapter_(adapter) {}
+  /// Resolves every view's FK and column slots once, so the adapter's
+  /// catalog must already hold all views.
+  explicit ViewMaintainer(exec::TableAdapter* adapter);
 
   /// §VII-A applicability: a base insert into R applies to view V iff R is
   /// the last relation of V.
@@ -31,7 +33,8 @@ class ViewMaintainer {
 
   /// Propagates a base-table insert to every applicable view: reads the
   /// k-1 ancestor tuples along the FK chain and inserts the joined tuple
-  /// (linear in view length, independent of cardinality ratios).
+  /// (linear in view length, independent of cardinality ratios). `tuple`
+  /// is a full row of `relation`, as TableAdapter::Insert requires.
   Status ApplyInsert(hbase::Session& s, const std::string& relation,
                      const exec::Tuple& tuple);
 
@@ -59,7 +62,22 @@ class ViewMaintainer {
                        const std::vector<std::pair<std::string, Value>>& sets);
 
  private:
+  /// A view's FK chain resolved to slots, built once per view.
+  struct ChainPlan {
+    const sql::ViewDef* view;
+    size_t width;  // the view storage's column count
+    /// member_slots[i][j]: view-row slot of column j of relations[i] (-1
+    /// when the view lacks it). A MaterializeViewDef view row is the
+    /// concatenation of its members' rows, root-most first.
+    std::vector<std::vector<int>> member_slots;
+    /// fk_slots[i], i >= 1: slots in relations[i] of its FK columns
+    /// referencing relations[i-1] (-1 for a column it lacks, which reads
+    /// as a dangling FK).
+    std::vector<std::vector<int>> fk_slots;
+  };
+
   exec::TableAdapter* adapter_;
+  std::vector<ChainPlan> plans_;
 };
 
 }  // namespace synergy::core

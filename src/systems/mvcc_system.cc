@@ -163,12 +163,19 @@ Status MvccSystem::RunStatement(hbase::Session& s, const std::string& stmt_id,
                                 size_t* rows) {
   const sql::WorkloadStatement* stmt = workload_.Find(stmt_id);
   if (stmt == nullptr) return Status::NotFound("statement " + stmt_id);
+  return ExecuteStatement(s, stmt->ast, params, rows);
+}
+
+Status MvccSystem::ExecuteStatement(hbase::Session& s,
+                                    const sql::Statement& stmt,
+                                    const std::vector<Value>& params,
+                                    size_t* rows) {
   // Every statement runs as a Tephra-style transaction: start + commit
   // round trips plus per-row snapshot filtering on reads. Write versions
   // are tagged by the store's logical clock; the transaction's write set
   // drives conflict detection (single-client benches never conflict).
   SYNERGY_ASSIGN_OR_RETURN(txn, mvcc_->Start(s));
-  if (const auto* sel = std::get_if<sql::SelectStatement>(&stmt->ast)) {
+  if (const auto* sel = std::get_if<sql::SelectStatement>(&stmt)) {
     hbase::ReadView view;
     view.read_ts = INT64_MAX;  // reads observe the loaded, committed state
     view.exclude = &txn.exclude;
@@ -183,7 +190,7 @@ Status MvccSystem::RunStatement(hbase::Session& s, const std::string& stmt_id,
     }
     *rows = query->row_count;
   } else {
-    const sql::Statement bound = sql::BindParams(stmt->ast, params);
+    const sql::Statement bound = sql::BindParams(stmt, params);
     SYNERGY_ASSIGN_OR_RETURN(write,
                              exec::BindWriteStatement(bound, catalog_));
     txn.write_set.push_back(write.WriteKey(catalog_));

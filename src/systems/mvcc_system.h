@@ -31,9 +31,15 @@ class MvccSystem : public HBaseBackedSystem {
   const sql::Workload& workload() const { return workload_; }
   const sql::Catalog& catalog() const { return catalog_; }
 
+  /// Runs one statement as a Tephra-style transaction (start, read-or-write,
+  /// commit/abort) and sets `*rows` on success. Workload statements reach
+  /// it through Execute/ExecuteOpen.
+  Status ExecuteStatement(hbase::Session& s, const sql::Statement& stmt,
+                          const std::vector<Value>& params, size_t* rows);
+
  private:
   Status ExecuteWriteBody(hbase::Session& s, const exec::BoundWrite& write);
-  /// One Tephra-style transaction (start, read-or-write, commit/abort).
+  /// Looks `stmt_id` up in the workload and runs ExecuteStatement.
   Status RunStatement(hbase::Session& s, const std::string& stmt_id,
                       const std::vector<Value>& params, size_t* rows) override;
 

@@ -71,148 +71,170 @@ const std::vector<std::string>& Subjects() {
   return kSubjects;
 }
 
+namespace {
+
+// One row builder per relation, shared by both loaders. Each returns the
+// relation's Tuple in schema order; braced-list elements are evaluated left
+// to right, so the RNG draw order is the column order.
+
+exec::Tuple CountryRow(Rng& rng, int64_t id) {
+  return {Value(id), Value("COUNTRY" + std::to_string(id)),
+          Value(rng.UniformReal(0.1, 10.0)), Value(rng.AlphaString(3))};
+}
+
+exec::Tuple AddressRow(Rng& rng, int64_t id, const ScaleConfig& cfg) {
+  return {Value(id),
+          Value(rng.AlphaString(16)),                   // addr_street1
+          Value(rng.AlphaString(16)),                   // addr_street2
+          Value(rng.AlphaString(10)),                   // addr_city
+          Value(rng.AlphaString(2)),                    // addr_state
+          Value(rng.AlphaString(5)),                    // addr_zip
+          Value(rng.Uniform(1, cfg.num_countries()))};  // addr_co_id
+}
+
+exec::Tuple AuthorRow(Rng& rng, int64_t id) {
+  return {Value(id),
+          Value(rng.AlphaString(8)),       // a_fname
+          Value(rng.AlphaString(10)),      // a_lname
+          Value(rng.AlphaString(1)),       // a_mname
+          Value(rng.Uniform(1900, 1999)),  // a_dob
+          Value(rng.AlphaString(60))};     // a_bio
+}
+
+exec::Tuple CustomerRow(Rng& rng, int64_t id, const ScaleConfig& cfg) {
+  return {Value(id),
+          Value(Uname(id)),
+          Value(rng.AlphaString(8)),                   // c_passwd
+          Value(rng.AlphaString(8)),                   // c_fname
+          Value(rng.AlphaString(10)),                  // c_lname
+          Value(rng.Uniform(1, cfg.num_addresses())),  // c_addr_id
+          Value(rng.AlphaString(10)),                  // c_phone
+          Value(rng.AlphaString(12)),                  // c_email
+          Value(rng.Uniform(20000101, 20170101)),      // c_since
+          Value(rng.Uniform(20170101, 20170930)),      // c_last_login
+          Value(rng.Uniform(0, 1000000)),              // c_login
+          Value(rng.Uniform(20180101, 20200101)),      // c_expiration
+          Value(rng.UniformReal(0.0, 0.5)),            // c_discount
+          Value(rng.UniformReal(-100.0, 100.0)),       // c_balance
+          Value(rng.UniformReal(0.0, 10000.0)),        // c_ytd_pmt
+          Value(rng.Uniform(19200101, 19991231)),      // c_birthdate
+          Value(rng.AlphaString(80))};                 // c_data
+}
+
+exec::Tuple ItemRow(Rng& rng, int64_t id, const ScaleConfig& cfg) {
+  const auto& subjects = Subjects();
+  auto related = [&] { return Value(rng.Uniform(1, cfg.num_items())); };
+  return {Value(id),
+          Value("TITLE" + std::to_string(rng.Next() % 100000)),
+          Value(rng.Uniform(1, cfg.num_authors())),     // i_a_id
+          Value(rng.Uniform(19500101, 20170101)),       // i_pub_date
+          Value(rng.AlphaString(14)),                   // i_publisher
+          Value(subjects[rng.Next() % subjects.size()]),
+          Value(rng.AlphaString(100)),                  // i_desc
+          related(),                                    // i_related1
+          related(),                                    // i_related2
+          related(),                                    // i_related3
+          related(),                                    // i_related4
+          related(),                                    // i_related5
+          Value(rng.AlphaString(20)),                   // i_thumbnail
+          Value(rng.AlphaString(20)),                   // i_image
+          Value(rng.UniformReal(1.0, 300.0)),           // i_srp
+          Value(rng.UniformReal(1.0, 300.0)),           // i_cost
+          Value(rng.Uniform(20170101, 20171231)),       // i_avail
+          Value(rng.Uniform(10, 30)),                   // i_stock
+          Value(rng.AlphaString(13)),                   // i_isbn
+          Value(rng.Uniform(20, 9999)),                 // i_page
+          Value(rng.AlphaString(5)),                    // i_backing
+          Value(rng.AlphaString(12))};                  // i_dimensions
+}
+
+/// Customer:Orders = 1:10, customers assigned round-robin.
+exec::Tuple OrdersRow(Rng& rng, int64_t o_id, const ScaleConfig& cfg) {
+  return {Value(o_id),
+          Value((o_id - 1) % cfg.num_customers + 1),   // o_c_id
+          Value(rng.Uniform(20150101, 20170930)),      // o_date
+          Value(rng.UniformReal(10.0, 1000.0)),        // o_sub_total
+          Value(rng.UniformReal(0.0, 80.0)),           // o_tax
+          Value(rng.UniformReal(10.0, 1100.0)),        // o_total
+          Value(rng.AlphaString(6)),                   // o_ship_type
+          Value(rng.Uniform(20150101, 20171001)),      // o_ship_date
+          Value(rng.Uniform(1, cfg.num_addresses())),  // o_bill_addr_id
+          Value(rng.Uniform(1, cfg.num_addresses())),  // o_ship_addr_id
+          Value(rng.AlphaString(8))};                  // o_status
+}
+
+exec::Tuple OrderLineRow(Rng& rng, int64_t ol_id, int64_t o_id,
+                         const ScaleConfig& cfg) {
+  return {Value(ol_id),
+          Value(o_id),
+          Value(rng.Uniform(1, cfg.num_items())),  // ol_i_id
+          Value(rng.Uniform(1, 10)),               // ol_qty
+          Value(rng.UniformReal(0.0, 0.3)),        // ol_discount
+          Value(rng.AlphaString(20))};             // ol_comments
+}
+
+exec::Tuple CcXactsRow(Rng& rng, int64_t o_id, const ScaleConfig& cfg) {
+  return {Value(o_id),
+          Value(rng.Next() % 2 ? "VISA" : "AMEX"),      // cx_type
+          Value(rng.AlphaString(16)),                   // cx_num
+          Value(rng.AlphaString(14)),                   // cx_name
+          Value(rng.Uniform(20180101, 20220101)),       // cx_expiry
+          Value(rng.AlphaString(15)),                   // cx_auth_id
+          Value(rng.UniformReal(10.0, 1100.0)),         // cx_xact_amt
+          Value(rng.Uniform(20150101, 20171001)),       // cx_xact_date
+          Value(rng.Uniform(1, cfg.num_countries()))};  // cx_co_id
+}
+
+exec::Tuple CartRow(Rng& rng, int64_t sc) {
+  return {Value(sc), Value(rng.Uniform(0, 1 << 30))};
+}
+
+exec::Tuple CartLineRow(Rng& rng, int64_t sc, const ScaleConfig& cfg) {
+  return {Value(sc), Value(rng.Uniform(1, cfg.num_items())),
+          Value(rng.Uniform(1, 5))};
+}
+
+}  // namespace
+
 Status GenerateDatabase(const ScaleConfig& cfg, const TupleSink& sink) {
   Rng rng(cfg.seed);
-  // Countries.
   for (int64_t id = 1; id <= cfg.num_countries(); ++id) {
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "Country", {{"co_id", Value(id)},
-                    {"co_name", Value("COUNTRY" + std::to_string(id))},
-                    {"co_exchange", Value(rng.UniformReal(0.1, 10.0))},
-                    {"co_currency", Value(rng.AlphaString(3))}}));
+    SYNERGY_RETURN_IF_ERROR(sink("Country", CountryRow(rng, id)));
   }
-  // Addresses.
   for (int64_t id = 1; id <= cfg.num_addresses(); ++id) {
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "Address",
-        {{"addr_id", Value(id)},
-         {"addr_street1", Value(rng.AlphaString(16))},
-         {"addr_street2", Value(rng.AlphaString(16))},
-         {"addr_city", Value(rng.AlphaString(10))},
-         {"addr_state", Value(rng.AlphaString(2))},
-         {"addr_zip", Value(rng.AlphaString(5))},
-         {"addr_co_id", Value(rng.Uniform(1, cfg.num_countries()))}}));
+    SYNERGY_RETURN_IF_ERROR(sink("Address", AddressRow(rng, id, cfg)));
   }
-  // Authors.
   for (int64_t id = 1; id <= cfg.num_authors(); ++id) {
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "Author", {{"a_id", Value(id)},
-                   {"a_fname", Value(rng.AlphaString(8))},
-                   {"a_lname", Value(rng.AlphaString(10))},
-                   {"a_mname", Value(rng.AlphaString(1))},
-                   {"a_dob", Value(rng.Uniform(1900, 1999))},
-                   {"a_bio", Value(rng.AlphaString(60))}}));
+    SYNERGY_RETURN_IF_ERROR(sink("Author", AuthorRow(rng, id)));
   }
-  // Customers.
   for (int64_t id = 1; id <= cfg.num_customers; ++id) {
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "Customer",
-        {{"c_id", Value(id)},
-         {"c_uname", Value(Uname(id))},
-         {"c_passwd", Value(rng.AlphaString(8))},
-         {"c_fname", Value(rng.AlphaString(8))},
-         {"c_lname", Value(rng.AlphaString(10))},
-         {"c_addr_id", Value(rng.Uniform(1, cfg.num_addresses()))},
-         {"c_phone", Value(rng.AlphaString(10))},
-         {"c_email", Value(rng.AlphaString(12))},
-         {"c_since", Value(rng.Uniform(20000101, 20170101))},
-         {"c_last_login", Value(rng.Uniform(20170101, 20170930))},
-         {"c_login", Value(rng.Uniform(0, 1000000))},
-         {"c_expiration", Value(rng.Uniform(20180101, 20200101))},
-         {"c_discount", Value(rng.UniformReal(0.0, 0.5))},
-         {"c_balance", Value(rng.UniformReal(-100.0, 100.0))},
-         {"c_ytd_pmt", Value(rng.UniformReal(0.0, 10000.0))},
-         {"c_birthdate", Value(rng.Uniform(19200101, 19991231))},
-         {"c_data", Value(rng.AlphaString(80))}}));
+    SYNERGY_RETURN_IF_ERROR(sink("Customer", CustomerRow(rng, id, cfg)));
   }
-  // Items.
-  const auto& subjects = Subjects();
   for (int64_t id = 1; id <= cfg.num_items(); ++id) {
-    auto related = [&] { return Value(rng.Uniform(1, cfg.num_items())); };
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "Item",
-        {{"i_id", Value(id)},
-         {"i_title", Value("TITLE" + std::to_string(rng.Next() % 100000))},
-         {"i_a_id", Value(rng.Uniform(1, cfg.num_authors()))},
-         {"i_pub_date", Value(rng.Uniform(19500101, 20170101))},
-         {"i_publisher", Value(rng.AlphaString(14))},
-         {"i_subject",
-          Value(subjects[static_cast<size_t>(rng.Next() % subjects.size())])},
-         {"i_desc", Value(rng.AlphaString(100))},
-         {"i_related1", related()},
-         {"i_related2", related()},
-         {"i_related3", related()},
-         {"i_related4", related()},
-         {"i_related5", related()},
-         {"i_thumbnail", Value(rng.AlphaString(20))},
-         {"i_image", Value(rng.AlphaString(20))},
-         {"i_srp", Value(rng.UniformReal(1.0, 300.0))},
-         {"i_cost", Value(rng.UniformReal(1.0, 300.0))},
-         {"i_avail", Value(rng.Uniform(20170101, 20171231))},
-         {"i_stock", Value(rng.Uniform(10, 30))},
-         {"i_isbn", Value(rng.AlphaString(13))},
-         {"i_page", Value(rng.Uniform(20, 9999))},
-         {"i_backing", Value(rng.AlphaString(5))},
-         {"i_dimensions", Value(rng.AlphaString(12))}}));
+    SYNERGY_RETURN_IF_ERROR(sink("Item", ItemRow(rng, id, cfg)));
   }
-  // Orders + lines + credit-card transactions (Customer:Orders = 1:10).
+  // Orders + lines + credit-card transactions.
   int64_t next_ol_id = 1;
   for (int64_t o_id = 1; o_id <= cfg.num_orders(); ++o_id) {
-    const int64_t c_id = (o_id - 1) % cfg.num_customers + 1;
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "Orders",
-        {{"o_id", Value(o_id)},
-         {"o_c_id", Value(c_id)},
-         {"o_date", Value(rng.Uniform(20150101, 20170930))},
-         {"o_sub_total", Value(rng.UniformReal(10.0, 1000.0))},
-         {"o_tax", Value(rng.UniformReal(0.0, 80.0))},
-         {"o_total", Value(rng.UniformReal(10.0, 1100.0))},
-         {"o_ship_type", Value(rng.AlphaString(6))},
-         {"o_ship_date", Value(rng.Uniform(20150101, 20171001))},
-         {"o_bill_addr_id", Value(rng.Uniform(1, cfg.num_addresses()))},
-         {"o_ship_addr_id", Value(rng.Uniform(1, cfg.num_addresses()))},
-         {"o_status", Value(rng.AlphaString(8))}}));
+    SYNERGY_RETURN_IF_ERROR(sink("Orders", OrdersRow(rng, o_id, cfg)));
     const int64_t lines = rng.Uniform(1, 5);
     for (int64_t l = 0; l < lines; ++l) {
-      SYNERGY_RETURN_IF_ERROR(sink(
-          "Order_line",
-          {{"ol_id", Value(next_ol_id++)},
-           {"ol_o_id", Value(o_id)},
-           {"ol_i_id", Value(rng.Uniform(1, cfg.num_items()))},
-           {"ol_qty", Value(rng.Uniform(1, 10))},
-           {"ol_discount", Value(rng.UniformReal(0.0, 0.3))},
-           {"ol_comments", Value(rng.AlphaString(20))}}));
+      SYNERGY_RETURN_IF_ERROR(
+          sink("Order_line", OrderLineRow(rng, next_ol_id++, o_id, cfg)));
     }
-    SYNERGY_RETURN_IF_ERROR(sink(
-        "CC_Xacts",
-        {{"cx_o_id", Value(o_id)},
-         {"cx_type", Value(rng.Next() % 2 ? "VISA" : "AMEX")},
-         {"cx_num", Value(rng.AlphaString(16))},
-         {"cx_name", Value(rng.AlphaString(14))},
-         {"cx_expiry", Value(rng.Uniform(20180101, 20220101))},
-         {"cx_auth_id", Value(rng.AlphaString(15))},
-         {"cx_xact_amt", Value(rng.UniformReal(10.0, 1100.0))},
-         {"cx_xact_date", Value(rng.Uniform(20150101, 20171001))},
-         {"cx_co_id", Value(rng.Uniform(1, cfg.num_countries()))}}));
+    SYNERGY_RETURN_IF_ERROR(sink("CC_Xacts", CcXactsRow(rng, o_id, cfg)));
   }
-  // Shopping carts.
   for (int64_t sc = 1; sc <= cfg.num_carts(); ++sc) {
-    SYNERGY_RETURN_IF_ERROR(
-        sink("Shopping_cart", {{"sc_id", Value(sc)},
-                               {"sc_time", Value(rng.Uniform(0, 1 << 30))}}));
+    SYNERGY_RETURN_IF_ERROR(sink("Shopping_cart", CartRow(rng, sc)));
     const int64_t lines = rng.Uniform(1, 3);
     for (int64_t l = 0; l < lines; ++l) {
-      SYNERGY_RETURN_IF_ERROR(sink(
-          "Shopping_cart_line",
-          {{"scl_sc_id", Value(sc)},
-           {"scl_i_id", Value(rng.Uniform(1, cfg.num_items()))},
-           {"scl_qty", Value(rng.Uniform(1, 5))}}));
+      SYNERGY_RETURN_IF_ERROR(
+          sink("Shopping_cart_line", CartLineRow(rng, sc, cfg)));
     }
   }
   // Orders_tmp: the most recent orders (highest ids).
   for (int64_t k = 0; k < cfg.num_orders_tmp(); ++k) {
-    SYNERGY_RETURN_IF_ERROR(
-        sink("Orders_tmp", {{"ot_o_id", Value(cfg.num_orders() - k)}}));
+    SYNERGY_RETURN_IF_ERROR(sink("Orders_tmp", {Value(cfg.num_orders() - k)}));
   }
   return Status::Ok();
 }
@@ -220,7 +242,6 @@ Status GenerateDatabase(const ScaleConfig& cfg, const TupleSink& sink) {
 Status GenerateDatabaseParallel(const ScaleConfig& cfg,
                                 const ParallelTupleSink& sink) {
   const int threads = std::max(1, cfg.load_threads);
-  const auto& subjects = Subjects();
 
   // Phase tags feed BlockSeed, so each relation gets its own seed stream.
   enum : uint64_t {
@@ -230,152 +251,57 @@ Status GenerateDatabaseParallel(const ScaleConfig& cfg,
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kCountry, cfg.num_countries(),
       [&](Rng& rng, int tid, int64_t id) {
-        return sink(tid, "Country",
-                    {{"co_id", Value(id)},
-                     {"co_name", Value("COUNTRY" + std::to_string(id))},
-                     {"co_exchange", Value(rng.UniformReal(0.1, 10.0))},
-                     {"co_currency", Value(rng.AlphaString(3))}});
+        return sink(tid, "Country", CountryRow(rng, id));
       }));
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kAddress, cfg.num_addresses(),
       [&](Rng& rng, int tid, int64_t id) {
-        return sink(tid, "Address",
-                    {{"addr_id", Value(id)},
-                     {"addr_street1", Value(rng.AlphaString(16))},
-                     {"addr_street2", Value(rng.AlphaString(16))},
-                     {"addr_city", Value(rng.AlphaString(10))},
-                     {"addr_state", Value(rng.AlphaString(2))},
-                     {"addr_zip", Value(rng.AlphaString(5))},
-                     {"addr_co_id", Value(rng.Uniform(1, cfg.num_countries()))}});
+        return sink(tid, "Address", AddressRow(rng, id, cfg));
       }));
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kAuthor, cfg.num_authors(),
       [&](Rng& rng, int tid, int64_t id) {
-        return sink(tid, "Author",
-                    {{"a_id", Value(id)},
-                     {"a_fname", Value(rng.AlphaString(8))},
-                     {"a_lname", Value(rng.AlphaString(10))},
-                     {"a_mname", Value(rng.AlphaString(1))},
-                     {"a_dob", Value(rng.Uniform(1900, 1999))},
-                     {"a_bio", Value(rng.AlphaString(60))}});
+        return sink(tid, "Author", AuthorRow(rng, id));
       }));
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kCustomer, cfg.num_customers,
       [&](Rng& rng, int tid, int64_t id) {
-        return sink(tid, "Customer",
-                    {{"c_id", Value(id)},
-                     {"c_uname", Value(Uname(id))},
-                     {"c_passwd", Value(rng.AlphaString(8))},
-                     {"c_fname", Value(rng.AlphaString(8))},
-                     {"c_lname", Value(rng.AlphaString(10))},
-                     {"c_addr_id", Value(rng.Uniform(1, cfg.num_addresses()))},
-                     {"c_phone", Value(rng.AlphaString(10))},
-                     {"c_email", Value(rng.AlphaString(12))},
-                     {"c_since", Value(rng.Uniform(20000101, 20170101))},
-                     {"c_last_login", Value(rng.Uniform(20170101, 20170930))},
-                     {"c_login", Value(rng.Uniform(0, 1000000))},
-                     {"c_expiration", Value(rng.Uniform(20180101, 20200101))},
-                     {"c_discount", Value(rng.UniformReal(0.0, 0.5))},
-                     {"c_balance", Value(rng.UniformReal(-100.0, 100.0))},
-                     {"c_ytd_pmt", Value(rng.UniformReal(0.0, 10000.0))},
-                     {"c_birthdate", Value(rng.Uniform(19200101, 19991231))},
-                     {"c_data", Value(rng.AlphaString(80))}});
+        return sink(tid, "Customer", CustomerRow(rng, id, cfg));
       }));
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kItem, cfg.num_items(),
       [&](Rng& rng, int tid, int64_t id) {
-        auto related = [&] { return Value(rng.Uniform(1, cfg.num_items())); };
-        return sink(
-            tid, "Item",
-            {{"i_id", Value(id)},
-             {"i_title", Value("TITLE" + std::to_string(rng.Next() % 100000))},
-             {"i_a_id", Value(rng.Uniform(1, cfg.num_authors()))},
-             {"i_pub_date", Value(rng.Uniform(19500101, 20170101))},
-             {"i_publisher", Value(rng.AlphaString(14))},
-             {"i_subject",
-              Value(subjects[static_cast<size_t>(rng.Next() %
-                                                 subjects.size())])},
-             {"i_desc", Value(rng.AlphaString(100))},
-             {"i_related1", related()},
-             {"i_related2", related()},
-             {"i_related3", related()},
-             {"i_related4", related()},
-             {"i_related5", related()},
-             {"i_thumbnail", Value(rng.AlphaString(20))},
-             {"i_image", Value(rng.AlphaString(20))},
-             {"i_srp", Value(rng.UniformReal(1.0, 300.0))},
-             {"i_cost", Value(rng.UniformReal(1.0, 300.0))},
-             {"i_avail", Value(rng.Uniform(20170101, 20171231))},
-             {"i_stock", Value(rng.Uniform(10, 30))},
-             {"i_isbn", Value(rng.AlphaString(13))},
-             {"i_page", Value(rng.Uniform(20, 9999))},
-             {"i_backing", Value(rng.AlphaString(5))},
-             {"i_dimensions", Value(rng.AlphaString(12))}});
+        return sink(tid, "Item", ItemRow(rng, id, cfg));
       }));
   // Orders carry their lines and credit-card row; ol_id is derived from
   // (o_id, line) so no cross-thread counter is needed.
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kOrders, cfg.num_orders(),
       [&](Rng& rng, int tid, int64_t o_id) {
-        const int64_t c_id = (o_id - 1) % cfg.num_customers + 1;
-        SYNERGY_RETURN_IF_ERROR(sink(
-            tid, "Orders",
-            {{"o_id", Value(o_id)},
-             {"o_c_id", Value(c_id)},
-             {"o_date", Value(rng.Uniform(20150101, 20170930))},
-             {"o_sub_total", Value(rng.UniformReal(10.0, 1000.0))},
-             {"o_tax", Value(rng.UniformReal(0.0, 80.0))},
-             {"o_total", Value(rng.UniformReal(10.0, 1100.0))},
-             {"o_ship_type", Value(rng.AlphaString(6))},
-             {"o_ship_date", Value(rng.Uniform(20150101, 20171001))},
-             {"o_bill_addr_id", Value(rng.Uniform(1, cfg.num_addresses()))},
-             {"o_ship_addr_id", Value(rng.Uniform(1, cfg.num_addresses()))},
-             {"o_status", Value(rng.AlphaString(8))}}));
+        SYNERGY_RETURN_IF_ERROR(sink(tid, "Orders", OrdersRow(rng, o_id, cfg)));
         const int64_t lines = rng.Uniform(1, 5);
         for (int64_t l = 0; l < lines; ++l) {
-          SYNERGY_RETURN_IF_ERROR(sink(
-              tid, "Order_line",
-              {{"ol_id", Value((o_id - 1) * 5 + l + 1)},
-               {"ol_o_id", Value(o_id)},
-               {"ol_i_id", Value(rng.Uniform(1, cfg.num_items()))},
-               {"ol_qty", Value(rng.Uniform(1, 10))},
-               {"ol_discount", Value(rng.UniformReal(0.0, 0.3))},
-               {"ol_comments", Value(rng.AlphaString(20))}}));
+          SYNERGY_RETURN_IF_ERROR(
+              sink(tid, "Order_line",
+                   OrderLineRow(rng, (o_id - 1) * 5 + l + 1, o_id, cfg)));
         }
-        return sink(
-            tid, "CC_Xacts",
-            {{"cx_o_id", Value(o_id)},
-             {"cx_type", Value(rng.Next() % 2 ? "VISA" : "AMEX")},
-             {"cx_num", Value(rng.AlphaString(16))},
-             {"cx_name", Value(rng.AlphaString(14))},
-             {"cx_expiry", Value(rng.Uniform(20180101, 20220101))},
-             {"cx_auth_id", Value(rng.AlphaString(15))},
-             {"cx_xact_amt", Value(rng.UniformReal(10.0, 1100.0))},
-             {"cx_xact_date", Value(rng.Uniform(20150101, 20171001))},
-             {"cx_co_id", Value(rng.Uniform(1, cfg.num_countries()))}});
+        return sink(tid, "CC_Xacts", CcXactsRow(rng, o_id, cfg));
       }));
   SYNERGY_RETURN_IF_ERROR(ParallelPhase(
       threads, cfg.seed, kCarts, cfg.num_carts(),
       [&](Rng& rng, int tid, int64_t sc) {
-        SYNERGY_RETURN_IF_ERROR(
-            sink(tid, "Shopping_cart",
-                 {{"sc_id", Value(sc)},
-                  {"sc_time", Value(rng.Uniform(0, 1 << 30))}}));
+        SYNERGY_RETURN_IF_ERROR(sink(tid, "Shopping_cart", CartRow(rng, sc)));
         const int64_t lines = rng.Uniform(1, 3);
         for (int64_t l = 0; l < lines; ++l) {
           SYNERGY_RETURN_IF_ERROR(
-              sink(tid, "Shopping_cart_line",
-                   {{"scl_sc_id", Value(sc)},
-                    {"scl_i_id", Value(rng.Uniform(1, cfg.num_items()))},
-                    {"scl_qty", Value(rng.Uniform(1, 5))}}));
+              sink(tid, "Shopping_cart_line", CartLineRow(rng, sc, cfg)));
         }
         return Status::Ok();
       }));
   return ParallelPhase(
       threads, cfg.seed, kTmp, cfg.num_orders_tmp(),
       [&](Rng&, int tid, int64_t k) {
-        return sink(tid, "Orders_tmp",
-                    {{"ot_o_id", Value(cfg.num_orders() - (k - 1))}});
+        return sink(tid, "Orders_tmp", {Value(cfg.num_orders() - (k - 1))});
       });
 }
 

@@ -6,6 +6,7 @@
 #include "hbase/failover.h"
 #include "sql/parser.h"
 #include "testing/fault_injector.h"
+#include "tuple_builder.h"
 
 namespace synergy::exec {
 namespace {
@@ -67,30 +68,33 @@ class ExecutorTest : public ::testing::Test {
     hbase::Session s(&cluster_);
     // 3 customers, 2 orders each, 2 lines per order.
     for (int c = 1; c <= 3; ++c) {
-      ASSERT_TRUE(adapter_
-                      ->Insert(s, "Customer",
-                               {{"c_id", Value(c)},
-                                {"c_uname", Value("user" + std::to_string(c))},
-                                {"c_city", Value(c % 2 ? "NYC" : "SF")}})
+      ASSERT_TRUE(Insert(s, "Customer",
+                         {{"c_id", Value(c)},
+                          {"c_uname", Value("user" + std::to_string(c))},
+                          {"c_city", Value(c % 2 ? "NYC" : "SF")}})
                       .ok());
       for (int k = 0; k < 2; ++k) {
         const int o = c * 10 + k;
-        ASSERT_TRUE(adapter_
-                        ->Insert(s, "Orders",
-                                 {{"o_id", Value(o)},
-                                  {"o_c_id", Value(c)},
-                                  {"o_total", Value(o * 1.5)}})
+        ASSERT_TRUE(Insert(s, "Orders",
+                           {{"o_id", Value(o)},
+                            {"o_c_id", Value(c)},
+                            {"o_total", Value(o * 1.5)}})
                         .ok());
         for (int j = 0; j < 2; ++j) {
-          ASSERT_TRUE(adapter_
-                          ->Insert(s, "Order_line",
-                                   {{"ol_id", Value(o * 10 + j)},
-                                    {"ol_o_id", Value(o)},
-                                    {"ol_qty", Value(j + 1)}})
+          ASSERT_TRUE(Insert(s, "Order_line",
+                             {{"ol_id", Value(o * 10 + j)},
+                              {"ol_o_id", Value(o)},
+                              {"ol_qty", Value(j + 1)}})
                           .ok());
         }
       }
     }
+  }
+
+  Status Insert(hbase::Session& s, const std::string& relation,
+                const testing::NamedValues& values) {
+    return adapter_->Insert(s, relation,
+                            testing::MakeTuple(catalog_, relation, values));
   }
 
   QueryResult Run(const std::string& sql, std::vector<Value> params = {},
@@ -482,11 +486,23 @@ TEST_F(ExecutorTest, AdapterUpdatePkRejected) {
                    .ok());
 }
 
+TEST_F(ExecutorTest, AdapterInsertRejectsTupleOfWrongWidth) {
+  // A tuple is positional: one value per column, or the write is refused
+  // before anything reaches the store.
+  hbase::Session s(&cluster_);
+  const size_t before = adapter_->RowCount("Customer");
+  const Status status =
+      adapter_->Insert(s, "Customer", {Value(99), Value("short")});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_EQ(adapter_->RowCount("Customer"), before);
+}
+
 TEST_F(ExecutorTest, AdapterGetMissingReturnsEmpty) {
   hbase::Session s(&cluster_);
-  auto r = adapter_->GetByPk(s, "Customer", {Value(42)});
+  SlotRow row;
+  auto r = adapter_->GetByPk(s, "Customer", {Value(42)}, &row);
   ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r->has_value());
+  EXPECT_FALSE(*r);
 }
 
 }  // namespace

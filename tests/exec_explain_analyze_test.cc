@@ -12,6 +12,7 @@
 #include "obs/trace.h"
 #include "synergy/synergy_system.h"
 #include "testing/fault_injector.h"
+#include "tuple_builder.h"
 
 namespace synergy::core {
 namespace {
@@ -27,38 +28,35 @@ class ExplainAnalyzeTest : public ::testing::Test {
     ASSERT_TRUE(system_->CreateStorage().ok());
     hbase::Session s(&cluster_);
     for (int a = 1; a <= 4; ++a) {
-      ASSERT_TRUE(system_
-                      ->Load(s, "Address",
-                             {{"AID", Value(a)},
-                              {"Street", Value("st" + std::to_string(a))},
-                              {"City", Value("c")},
-                              {"Zip", Value("z")}})
+      ASSERT_TRUE(testing::LoadRow(*system_, s, "Address",
+                                   {{"AID", Value(a)},
+                                    {"Street", Value("st" + std::to_string(a))},
+                                    {"City", Value("c")},
+                                    {"Zip", Value("z")}})
                       .ok());
     }
     for (int d = 1; d <= 2; ++d) {
-      ASSERT_TRUE(system_
-                      ->Load(s, "Department",
-                             {{"DNo", Value(d)},
-                              {"DName", Value("dept" + std::to_string(d))}})
+      ASSERT_TRUE(testing::LoadRow(*system_, s, "Department",
+                                   {{"DNo", Value(d)},
+                                    {"DName",
+                                     Value("dept" + std::to_string(d))}})
                       .ok());
     }
     for (int e = 1; e <= 3; ++e) {
-      ASSERT_TRUE(system_
-                      ->Load(s, "Employee",
-                             {{"EID", Value(e)},
-                              {"EName", Value("emp" + std::to_string(e))},
-                              {"EHome_AID", Value(e)},
-                              {"EOffice_AID", Value(4)},
-                              {"E_DNo", Value(e % 2 + 1)}})
+      ASSERT_TRUE(testing::LoadRow(*system_, s, "Employee",
+                                   {{"EID", Value(e)},
+                                    {"EName", Value("emp" + std::to_string(e))},
+                                    {"EHome_AID", Value(e)},
+                                    {"EOffice_AID", Value(4)},
+                                    {"E_DNo", Value(e % 2 + 1)}})
                       .ok());
     }
     for (int e = 1; e <= 3; ++e) {
       for (int p = 1; p <= (e % 2) + 1; ++p) {
-        ASSERT_TRUE(system_
-                        ->Load(s, "Works_On",
-                               {{"WO_EID", Value(e)},
-                                {"WO_PNo", Value(p)},
-                                {"Hours", Value(10 * e + p)}})
+        ASSERT_TRUE(testing::LoadRow(*system_, s, "Works_On",
+                                     {{"WO_EID", Value(e)},
+                                      {"WO_PNo", Value(p)},
+                                      {"Hours", Value(10 * e + p)}})
                         .ok());
       }
     }

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "tuple_builder.h"
+
 namespace synergy::exec {
 namespace {
+
+using testing::ColumnValue;
+using testing::MakeTuple;
 
 sql::RelationDef Rel() {
   return sql::RelationDef{
@@ -16,7 +21,7 @@ sql::RelationDef Rel() {
 
 TEST(RowCodecTest, PkKeyRoundTrip) {
   auto rel = Rel();
-  Tuple t{{"id", Value(7)}, {"name", Value("x")}};
+  Tuple t = MakeTuple(rel, {{"id", Value(7)}, {"name", Value("x")}});
   auto key = EncodePkKey(rel, t);
   ASSERT_TRUE(key.ok());
   EXPECT_EQ(*key, EncodePkKeyFromValues({Value(7)}));
@@ -24,28 +29,36 @@ TEST(RowCodecTest, PkKeyRoundTrip) {
 
 TEST(RowCodecTest, MissingPkFails) {
   auto rel = Rel();
-  Tuple t{{"name", Value("x")}};
+  Tuple t = MakeTuple(rel, {{"name", Value("x")}});
   EXPECT_FALSE(EncodePkKey(rel, t).ok());
 }
 
 TEST(RowCodecTest, RowValueRoundTrip) {
   auto rel = Rel();
-  Tuple t{{"id", Value(1)}, {"name", Value("bob")}, {"score", Value(2.5)}};
+  Tuple t = MakeTuple(
+      rel, {{"id", Value(1)}, {"name", Value("bob")}, {"score", Value(2.5)}});
   std::string bytes = EncodeRowValue(rel, t);
-  auto decoded = DecodeRowValue(rel.columns, bytes);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->at("id"), Value(1));
-  EXPECT_EQ(decoded->at("name"), Value("bob"));
-  EXPECT_EQ(decoded->at("score"), Value(2.5));
+  Tuple decoded;
+  ASSERT_TRUE(
+      DecodeRowSlots(rel.columns, {}, rel.columns.size(), bytes, &decoded)
+          .ok());
+  EXPECT_EQ(decoded, t);
+  EXPECT_EQ(ColumnValue(rel, decoded, "id"), Value(1));
+  EXPECT_EQ(ColumnValue(rel, decoded, "name"), Value("bob"));
+  EXPECT_EQ(ColumnValue(rel, decoded, "score"), Value(2.5));
 }
 
 TEST(RowCodecTest, MissingColumnsDecodeAsAbsent) {
   auto rel = Rel();
-  Tuple t{{"id", Value(1)}};
-  auto decoded = DecodeRowValue(rel.columns, EncodeRowValue(rel, t));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->size(), 1u);
-  EXPECT_FALSE(decoded->contains("name"));
+  Tuple t = MakeTuple(rel, {{"id", Value(1)}});
+  Tuple decoded;
+  ASSERT_TRUE(DecodeRowSlots(rel.columns, {}, rel.columns.size(),
+                             EncodeRowValue(rel, t), &decoded)
+                  .ok());
+  ASSERT_EQ(decoded.size(), rel.columns.size());
+  EXPECT_EQ(ColumnValue(rel, decoded, "id"), Value(1));
+  EXPECT_TRUE(ColumnValue(rel, decoded, "name").is_null());
+  EXPECT_TRUE(ColumnValue(rel, decoded, "score").is_null());
 }
 
 TEST(RowCodecTest, IndexKeyIncludesPkSuffix) {
@@ -54,8 +67,8 @@ TEST(RowCodecTest, IndexKeyIncludesPkSuffix) {
                    .relation = "T",
                    .indexed_columns = {"name"},
                    .covered_columns = {"name", "id"}};
-  Tuple a{{"id", Value(1)}, {"name", Value("bob")}};
-  Tuple b{{"id", Value(2)}, {"name", Value("bob")}};
+  Tuple a = MakeTuple(rel, {{"id", Value(1)}, {"name", Value("bob")}});
+  Tuple b = MakeTuple(rel, {{"id", Value(2)}, {"name", Value("bob")}});
   auto ka = EncodeIndexKey(ix, rel, a);
   auto kb = EncodeIndexKey(ix, rel, b);
   ASSERT_TRUE(ka.ok());
@@ -72,13 +85,14 @@ TEST(RowCodecTest, IndexPrefixRangeCoversAllPks) {
                    .covered_columns = {"name", "id"}};
   auto [start, stop] = IndexPrefixRange({Value("bob")});
   for (int id : {1, 50, 999}) {
-    Tuple t{{"id", Value(id)}, {"name", Value("bob")}};
+    Tuple t = MakeTuple(rel, {{"id", Value(id)}, {"name", Value("bob")}});
     auto key = EncodeIndexKey(ix, rel, t);
     ASSERT_TRUE(key.ok());
     EXPECT_GE(*key, start);
     EXPECT_LT(*key, stop);
   }
-  Tuple other{{"id", Value(1)}, {"name", Value("carol")}};
+  Tuple other =
+      MakeTuple(rel, {{"id", Value(1)}, {"name", Value("carol")}});
   auto key = EncodeIndexKey(ix, rel, other);
   ASSERT_TRUE(key.ok());
   EXPECT_GE(*key, stop);
@@ -86,14 +100,21 @@ TEST(RowCodecTest, IndexPrefixRangeCoversAllPks) {
 
 TEST(RowCodecTest, ProjectedValueUsesGivenOrder) {
   auto rel = Rel();
-  Tuple t{{"id", Value(3)}, {"name", Value("x")}, {"score", Value(1.0)}};
+  Tuple t = MakeTuple(
+      rel, {{"id", Value(3)}, {"name", Value("x")}, {"score", Value(1.0)}});
   std::vector<std::string> cols = {"score", "id"};
-  std::string bytes = EncodeProjectedValue(cols, rel, t);
-  auto decoded = DecodeRowValue(ProjectColumns(rel, cols), bytes);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->at("score"), Value(1.0));
-  EXPECT_EQ(decoded->at("id"), Value(3));
-  EXPECT_FALSE(decoded->contains("name"));
+  const std::vector<int> slots = {rel.ColumnIndex("score"),
+                                  rel.ColumnIndex("id")};
+  std::string bytes = EncodeProjectedValue(slots, t);
+  // Decoding through the projection's slot map puts values back in
+  // relation order.
+  Tuple decoded;
+  ASSERT_TRUE(DecodeRowSlots(ProjectColumns(rel, cols), slots,
+                             rel.columns.size(), bytes, &decoded)
+                  .ok());
+  EXPECT_EQ(ColumnValue(rel, decoded, "score"), Value(1.0));
+  EXPECT_EQ(ColumnValue(rel, decoded, "id"), Value(3));
+  EXPECT_TRUE(ColumnValue(rel, decoded, "name").is_null());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "exec/executor.h"
 #include "sql/parser.h"
+#include "tuple_builder.h"
 
 namespace synergy::exec {
 namespace {
@@ -53,14 +54,20 @@ class SlotPipelineTest : public ::testing::Test {
     hbase::Session s(&cluster_);
     auto customer = [&](int id, const char* uname,
                         std::optional<const char*> city) {
-      Tuple t = {{"c_id", Value(id)}, {"c_uname", Value(uname)}};
-      if (city.has_value()) t.emplace("c_city", Value(*city));
-      ASSERT_TRUE(adapter_->Insert(s, "Customer", t).ok());
+      testing::NamedValues t = {{"c_id", Value(id)}, {"c_uname", Value(uname)}};
+      if (city.has_value()) t.emplace_back("c_city", Value(*city));
+      ASSERT_TRUE(adapter_
+                      ->Insert(s, "Customer",
+                               testing::MakeTuple(catalog_, "Customer", t))
+                      .ok());
     };
     auto order = [&](int id, std::optional<int> c_id, double total) {
-      Tuple t = {{"o_id", Value(id)}, {"o_total", Value(total)}};
-      if (c_id.has_value()) t.emplace("o_c_id", Value(*c_id));
-      ASSERT_TRUE(adapter_->Insert(s, "Orders", t).ok());
+      testing::NamedValues t = {{"o_id", Value(id)}, {"o_total", Value(total)}};
+      if (c_id.has_value()) t.emplace_back("o_c_id", Value(*c_id));
+      ASSERT_TRUE(adapter_
+                      ->Insert(s, "Orders",
+                               testing::MakeTuple(catalog_, "Orders", t))
+                      .ok());
     };
     customer(1, "u1", "NYC");
     customer(2, "u2", "SF");
@@ -213,12 +220,14 @@ TEST_F(SlotPipelineTest, NumericJoinKeysMatchAcrossTypesForBothJoinMethods) {
                   .ok());
   ASSERT_TRUE(adapter_->CreateStorage("Payments").ok());
   hbase::Session s(&cluster_);
-  ASSERT_TRUE(adapter_->Insert(s, "Payments",
-                               {{"p_id", Value(1)}, {"p_amount", Value(2.0)}})
-                  .ok());
-  ASSERT_TRUE(adapter_->Insert(s, "Payments",
-                               {{"p_id", Value(2)}, {"p_amount", Value(2.5)}})
-                  .ok());
+  for (const auto& [id, amount] : {std::pair{1, 2.0}, std::pair{2, 2.5}}) {
+    ASSERT_TRUE(adapter_
+                    ->Insert(s, "Payments",
+                             testing::MakeTuple(catalog_, "Payments",
+                                                {{"p_id", Value(id)},
+                                                 {"p_amount", Value(amount)}}))
+                    .ok());
+  }
 
   const std::string sql =
       "SELECT p_id, c_uname FROM Payments as p, Customer as c "

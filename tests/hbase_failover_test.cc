@@ -20,6 +20,7 @@
 #include "systems/mvcc_system.h"
 #include "systems/synergy_wrapper.h"
 #include "testing/fault_injector.h"
+#include "tuple_builder.h"
 
 namespace synergy::hbase {
 namespace {
@@ -428,20 +429,18 @@ TEST(RegionWalTest, LoadersLeaveNoEditLog) {
       system.Build(testing::CompanyCatalog(), testing::CompanyWorkload()).ok());
   ASSERT_TRUE(system.CreateStorage().ok());
   Session s(&cluster);
-  ASSERT_TRUE(system
-                  .Load(s, "Address",
-                        {{"AID", Value(1)},
-                         {"Street", Value("s")},
-                         {"City", Value("c")},
-                         {"Zip", Value("z")}})
+  ASSERT_TRUE(testing::LoadRow(system, s, "Address",
+                               {{"AID", Value(1)},
+                                {"Street", Value("s")},
+                                {"City", Value("c")},
+                                {"Zip", Value("z")}})
                   .ok());
-  ASSERT_TRUE(system
-                  .Load(s, "Employee",
-                        {{"EID", Value(1)},
-                         {"EName", Value("e")},
-                         {"EHome_AID", Value(1)},
-                         {"EOffice_AID", Value(1)},
-                         {"E_DNo", Value(1)}})
+  ASSERT_TRUE(testing::LoadRow(system, s, "Employee",
+                               {{"EID", Value(1)},
+                                {"EName", Value("e")},
+                                {"EHome_AID", Value(1)},
+                                {"EOffice_AID", Value(1)},
+                                {"E_DNo", Value(1)}})
                   .ok());
   EXPECT_EQ(s.durability(), Durability::kLogged)
       << "the bulk-load scope must end with the load";

@@ -13,6 +13,7 @@
 #include "sql/parser.h"
 #include "synergy/synergy_system.h"
 #include "testing/fault_injector.h"
+#include "tuple_builder.h"
 
 namespace synergy::core {
 namespace {
@@ -33,39 +34,36 @@ class ObsChaosParityTest : public ::testing::Test {
     ASSERT_TRUE(system_->CreateStorage().ok());
     hbase::Session s(&cluster_);
     for (int a = 1; a <= 4; ++a) {
-      ASSERT_TRUE(system_
-                      ->Load(s, "Address",
-                             {{"AID", Value(a)},
-                              {"Street", Value("st")},
-                              {"City", Value("c")},
-                              {"Zip", Value("z")}})
+      ASSERT_TRUE(testing::LoadRow(*system_, s, "Address",
+                                   {{"AID", Value(a)},
+                                    {"Street", Value("st")},
+                                    {"City", Value("c")},
+                                    {"Zip", Value("z")}})
                       .ok());
     }
     for (int d = 1; d <= 2; ++d) {
-      ASSERT_TRUE(system_
-                      ->Load(s, "Department",
-                             {{"DNo", Value(d)}, {"DName", Value("dept")}})
+      ASSERT_TRUE(testing::LoadRow(*system_, s, "Department",
+                                   {{"DNo", Value(d)},
+                                    {"DName", Value("dept")}})
                       .ok());
     }
     for (int e = 1; e <= 3; ++e) {
-      ASSERT_TRUE(system_
-                      ->Load(s, "Employee",
-                             {{"EID", Value(e)},
-                              {"EName", Value("emp")},
-                              {"EHome_AID", Value(e)},
-                              {"EOffice_AID", Value(4)},
-                              {"E_DNo", Value(e % 2 + 1)}})
+      ASSERT_TRUE(testing::LoadRow(*system_, s, "Employee",
+                                   {{"EID", Value(e)},
+                                    {"EName", Value("emp")},
+                                    {"EHome_AID", Value(e)},
+                                    {"EOffice_AID", Value(4)},
+                                    {"E_DNo", Value(e % 2 + 1)}})
                       .ok());
     }
     // W2 reads through the Employee-Works_On view: it needs rows to scan,
     // or the dirty-read fault point is never reached.
     for (int e = 1; e <= 3; ++e) {
       for (int p = 1; p <= (e % 2) + 1; ++p) {
-        ASSERT_TRUE(system_
-                        ->Load(s, "Works_On",
-                               {{"WO_EID", Value(e)},
-                                {"WO_PNo", Value(p)},
-                                {"Hours", Value(10 * e + p)}})
+        ASSERT_TRUE(testing::LoadRow(*system_, s, "Works_On",
+                                     {{"WO_EID", Value(e)},
+                                      {"WO_PNo", Value(p)},
+                                      {"Hours", Value(10 * e + p)}})
                         .ok());
       }
     }

@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "sql/parser.h"
 #include "synergy/synergy_system.h"
+#include "tuple_builder.h"
 
 namespace synergy::core {
 namespace {
@@ -172,28 +173,25 @@ TEST(ObsSnapshotSmokeTest, MixedWorkloadSnapshotIsWellFormedAndComplete) {
 
   hbase::Session s(&cluster);
   for (int a = 1; a <= 4; ++a) {
-    ASSERT_TRUE(system
-                    .Load(s, "Address",
-                          {{"AID", Value(a)},
-                           {"Street", Value("st" + std::to_string(a))},
-                           {"City", Value("c")},
-                           {"Zip", Value("z")}})
+    ASSERT_TRUE(testing::LoadRow(system, s, "Address",
+                                 {{"AID", Value(a)},
+                                  {"Street", Value("st" + std::to_string(a))},
+                                  {"City", Value("c")},
+                                  {"Zip", Value("z")}})
                     .ok());
   }
   for (int d = 1; d <= 2; ++d) {
-    ASSERT_TRUE(system
-                    .Load(s, "Department",
-                          {{"DNo", Value(d)}, {"DName", Value("dept")}})
+    ASSERT_TRUE(testing::LoadRow(system, s, "Department",
+                                 {{"DNo", Value(d)}, {"DName", Value("dept")}})
                     .ok());
   }
   for (int e = 1; e <= 3; ++e) {
-    ASSERT_TRUE(system
-                    .Load(s, "Employee",
-                          {{"EID", Value(e)},
-                           {"EName", Value("emp")},
-                           {"EHome_AID", Value(e)},
-                           {"EOffice_AID", Value(4)},
-                           {"E_DNo", Value(e % 2 + 1)}})
+    ASSERT_TRUE(testing::LoadRow(system, s, "Employee",
+                                 {{"EID", Value(e)},
+                                  {"EName", Value("emp")},
+                                  {"EHome_AID", Value(e)},
+                                  {"EOffice_AID", Value(4)},
+                                  {"E_DNo", Value(e % 2 + 1)}})
                     .ok());
   }
 

@@ -6,6 +6,7 @@
 
 #include "company_fixture.h"
 #include "testing/fault_injector.h"
+#include "tuple_builder.h"
 
 namespace synergy::core {
 namespace {
@@ -25,47 +26,43 @@ class SynergySystemTest : public ::testing::Test {
   void Populate() {
     hbase::Session s(&cluster_);
     for (int a = 1; a <= 4; ++a) {
-      ASSERT_TRUE(system_
-                      ->Load(s, "Address",
-                             {{"AID", Value(a)},
-                              {"Street", Value("st" + std::to_string(a))},
-                              {"City", Value("c")},
-                              {"Zip", Value("z")}})
+      ASSERT_TRUE(testing::LoadRow(*system_, s, "Address",
+                                   {{"AID", Value(a)},
+                                    {"Street", Value("st" + std::to_string(a))},
+                                    {"City", Value("c")},
+                                    {"Zip", Value("z")}})
                       .ok());
     }
     for (int d = 1; d <= 2; ++d) {
-      ASSERT_TRUE(system_
-                      ->Load(s, "Department",
-                             {{"DNo", Value(d)},
-                              {"DName", Value("dept" + std::to_string(d))}})
+      ASSERT_TRUE(testing::LoadRow(*system_, s, "Department",
+                                   {{"DNo", Value(d)},
+                                    {"DName",
+                                     Value("dept" + std::to_string(d))}})
                       .ok());
     }
     for (int e = 1; e <= 3; ++e) {
-      ASSERT_TRUE(system_
-                      ->Load(s, "Employee",
-                             {{"EID", Value(e)},
-                              {"EName", Value("emp" + std::to_string(e))},
-                              {"EHome_AID", Value(e)},
-                              {"EOffice_AID", Value(4)},
-                              {"E_DNo", Value(e % 2 + 1)}})
+      ASSERT_TRUE(testing::LoadRow(*system_, s, "Employee",
+                                   {{"EID", Value(e)},
+                                    {"EName", Value("emp" + std::to_string(e))},
+                                    {"EHome_AID", Value(e)},
+                                    {"EOffice_AID", Value(4)},
+                                    {"E_DNo", Value(e % 2 + 1)}})
                       .ok());
     }
     for (int p = 1; p <= 2; ++p) {
-      ASSERT_TRUE(system_
-                      ->Load(s, "Project",
-                             {{"PNo", Value(p)},
-                              {"PName", Value("proj")},
-                              {"P_DNo", Value(p)}})
+      ASSERT_TRUE(testing::LoadRow(*system_, s, "Project",
+                                   {{"PNo", Value(p)},
+                                    {"PName", Value("proj")},
+                                    {"P_DNo", Value(p)}})
                       .ok());
     }
     // Employee e works on projects 1..e.
     for (int e = 1; e <= 3; ++e) {
       for (int p = 1; p <= (e % 2) + 1; ++p) {
-        ASSERT_TRUE(system_
-                        ->Load(s, "Works_On",
-                               {{"WO_EID", Value(e)},
-                                {"WO_PNo", Value(p)},
-                                {"Hours", Value(10 * e + p)}})
+        ASSERT_TRUE(testing::LoadRow(*system_, s, "Works_On",
+                                     {{"WO_EID", Value(e)},
+                                      {"WO_PNo", Value(p)},
+                                      {"Hours", Value(10 * e + p)}})
                         .ok());
       }
     }
@@ -215,7 +212,9 @@ TEST_F(SynergySystemTest, LockSpecDerivedThroughFkChain) {
   // Works_On row of employee 2: chain WO -> E(2) -> Address(AID=2).
   auto lock = system_->DeriveLockSpec(
       s, "Works_On",
-      {{"WO_EID", Value(2)}, {"WO_PNo", Value(1)}, {"Hours", Value(21)}});
+      testing::MakeTuple(
+          system_->catalog(), "Works_On",
+          {{"WO_EID", Value(2)}, {"WO_PNo", Value(1)}, {"Hours", Value(21)}}));
   ASSERT_TRUE(lock.ok());
   ASSERT_TRUE(lock->has_value());
   EXPECT_EQ((*lock)->root_relation, "Address");
@@ -226,7 +225,8 @@ TEST_F(SynergySystemTest, RootWriteLocksItsOwnKey) {
   hbase::Session s(&cluster_);
   auto lock = system_->DeriveLockSpec(
       s, "Address",
-      {{"AID", Value(9)}, {"Street", Value("x")}});
+      testing::MakeTuple(system_->catalog(), "Address",
+                         {{"AID", Value(9)}, {"Street", Value("x")}}));
   ASSERT_TRUE(lock.ok());
   ASSERT_TRUE(lock->has_value());
   EXPECT_EQ((*lock)->root_relation, "Address");

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include "newsql/voltdb_sim.h"
+#include "sql/parser.h"
 #include "systems/harness.h"
 #include "systems/mvcc_system.h"
+#include "systems/synergy_wrapper.h"
+#include "tpcw/schema.h"
 #include "tpcw/workload.h"
 
 namespace synergy::systems {
@@ -201,6 +205,35 @@ TEST_F(SystemsTest, PersistentClientMatchesFreshExecute) {
       EXPECT_EQ(open.result.counts, fresh->counts);
     }
   }
+}
+
+TEST_F(SystemsTest, InsertOfAnUnknownColumnIsRejected) {
+  // Every write path binds INSERT columns to slots; a column the relation
+  // lacks is an error, never silently dropped. The statement fails before
+  // any write, so the shared systems stay unchanged.
+  const sql::Statement stmt = sql::MustParse(
+      "INSERT INTO Shopping_cart (sc_id, sc_time, sc_bogus) VALUES (?, ?, ?)");
+  const std::vector<Value> params = {Value(987654), Value(1), Value(2)};
+  auto expect_rejected = [](const Status& status, const char* system) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << system << ": " << status;
+    EXPECT_NE(status.message().find("sc_bogus"), std::string::npos)
+        << system << ": " << status;
+  };
+
+  auto& synergy = dynamic_cast<SynergyWrapper&>(System(SystemKind::kSynergy));
+  hbase::Session ss(synergy.cluster());
+  expect_rejected(synergy.system()->ExecuteWrite(ss, stmt, params).status(),
+                  "Synergy");
+
+  auto& mvcc = dynamic_cast<MvccSystem&>(System(SystemKind::kMvccA));
+  hbase::Session ms(mvcc.cluster());
+  size_t rows = 0;
+  expect_rejected(mvcc.ExecuteStatement(ms, stmt, params, &rows), "MVCC-A");
+
+  newsql::VoltDb volt;
+  ASSERT_TRUE(volt.Init(tpcw::BuildCatalog()).ok());
+  expect_rejected(volt.Execute(stmt, params).status(), "VoltDB");
 }
 
 }  // namespace

@@ -11,27 +11,33 @@
 #include "common/value.h"
 #include "systems/synergy_wrapper.h"
 #include "tpcw/generator.h"
+#include "tpcw/schema.h"
+#include "tuple_builder.h"
 
 namespace synergy::tpcw {
 namespace {
 
 /// Canonical string form of a tuple for set comparison.
-std::string Canonical(const std::string& relation, const exec::Tuple& tuple) {
+std::string Canonical(const sql::Catalog& catalog, const std::string& relation,
+                      const exec::Tuple& tuple) {
   std::string out = relation + "|";
-  // exec::Tuple is an ordered map, so iteration order is deterministic.
-  for (const auto& [col, value] : tuple) {
-    out += col + "=" + value.ToString() + ";";
+  // exec::Tuple is in schema column order, so the form is deterministic.
+  const std::vector<sql::Column>& columns =
+      catalog.FindRelation(relation)->columns;
+  for (size_t i = 0; i < tuple.size(); ++i) {
+    out += columns.at(i).name + "=" + tuple[i].ToString() + ";";
   }
   return out;
 }
 
 std::multiset<std::string> CollectParallel(const ScaleConfig& cfg) {
+  const sql::Catalog catalog = BuildCatalog();
   std::mutex mu;
   std::multiset<std::string> rows;
   Status s = GenerateDatabaseParallel(
       cfg, [&](int, const std::string& relation, const exec::Tuple& tuple) {
         std::lock_guard lock(mu);
-        rows.insert(Canonical(relation, tuple));
+        rows.insert(Canonical(catalog, relation, tuple));
         return Status::Ok();
       });
   EXPECT_TRUE(s.ok()) << s.message();
@@ -88,6 +94,8 @@ TEST(ParallelLoadTest, OrderLineIdsAreUniqueAndInRange) {
   cfg.num_customers = 150;
   cfg.load_threads = 4;
 
+  const sql::Catalog catalog = BuildCatalog();
+  const sql::RelationDef& order_line = *catalog.FindRelation("Order_line");
   std::mutex mu;
   std::set<int64_t> ol_ids;
   bool dup = false;
@@ -95,7 +103,8 @@ TEST(ParallelLoadTest, OrderLineIdsAreUniqueAndInRange) {
       cfg, [&](int, const std::string& relation, const exec::Tuple& tuple) {
         if (relation != "Order_line") return Status::Ok();
         std::lock_guard lock(mu);
-        const int64_t id = tuple.at("ol_id").as_int();
+        const int64_t id =
+            testing::ColumnValue(order_line, tuple, "ol_id").as_int();
         if (!ol_ids.insert(id).second) dup = true;
         EXPECT_GE(id, 1);
         EXPECT_LE(id, cfg.max_order_line_id());

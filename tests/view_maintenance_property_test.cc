@@ -14,6 +14,7 @@
 #include "synergy/synergy_system.h"
 #include "synergy/view_audit.h"
 #include "testing/fault_injector.h"
+#include "tuple_builder.h"
 
 namespace synergy::core {
 namespace {
@@ -31,28 +32,25 @@ class ViewConsistencyPropertyTest : public ::testing::TestWithParam<uint64_t> {
     hbase::Session s(&cluster_);
     // Seed data: addresses, departments, employees.
     for (int a = 1; a <= 6; ++a) {
-      ASSERT_TRUE(system_
-                      ->Load(s, "Address",
-                             {{"AID", Value(a)},
-                              {"Street", Value("s" + std::to_string(a))},
-                              {"City", Value("c")},
-                              {"Zip", Value("z")}})
+      ASSERT_TRUE(testing::LoadRow(*system_, s, "Address",
+                                   {{"AID", Value(a)},
+                                    {"Street", Value("s" + std::to_string(a))},
+                                    {"City", Value("c")},
+                                    {"Zip", Value("z")}})
                       .ok());
     }
     for (int d = 1; d <= 2; ++d) {
-      ASSERT_TRUE(system_
-                      ->Load(s, "Department",
-                             {{"DNo", Value(d)}, {"DName", Value("d")}})
+      ASSERT_TRUE(testing::LoadRow(*system_, s, "Department",
+                                   {{"DNo", Value(d)}, {"DName", Value("d")}})
                       .ok());
     }
     for (int e = 1; e <= 4; ++e) {
-      ASSERT_TRUE(system_
-                      ->Load(s, "Employee",
-                             {{"EID", Value(e)},
-                              {"EName", Value("e" + std::to_string(e))},
-                              {"EHome_AID", Value(e)},
-                              {"EOffice_AID", Value(5)},
-                              {"E_DNo", Value(e % 2 + 1)}})
+      ASSERT_TRUE(testing::LoadRow(*system_, s, "Employee",
+                                   {{"EID", Value(e)},
+                                    {"EName", Value("e" + std::to_string(e))},
+                                    {"EHome_AID", Value(e)},
+                                    {"EOffice_AID", Value(5)},
+                                    {"E_DNo", Value(e % 2 + 1)}})
                       .ok());
     }
   }
