@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "exec/value_key.h"
@@ -13,6 +14,17 @@ namespace synergy::exec {
 namespace {
 
 Status DirtyRead() { return Status::Aborted("dirty row encountered"); }
+
+// Notes of a plan-node span: its label and the rows it produced.
+constexpr const char* kNodeNote = "node";
+constexpr const char* kRowsNote = "rows";
+
+const std::string* FindNote(const obs::TraceSpan& span, std::string_view key) {
+  for (const auto& [k, v] : span.notes) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
 
 /// One-line plan-node label for EXPLAIN ANALYZE, matching the vocabulary of
 /// SelectPlan::Explain.
@@ -617,6 +629,67 @@ class AggSink : public Sink {
 
 }  // namespace
 
+AnalyzeResult AnalyzeTrace(const obs::TraceCollector& trace,
+                           QueryResult result, double total_virtual_us,
+                           uint64_t total_rpcs) {
+  const std::vector<obs::TraceSpan>& spans = trace.spans();
+  const int count = static_cast<int>(spans.size());
+  AnalyzeResult out;
+  out.total_virtual_us = total_virtual_us;
+  out.total_rpcs = total_rpcs;
+  // The statement span is the first `exec.select`. Its `exec.select`
+  // children are plan nodes, one plan+bind..sink run per attempt; the last
+  // run is the attempt that produced the result.
+  int statement = 0;
+  while (statement < count && spans[statement].name != "exec.select") {
+    ++statement;
+  }
+  int final_start = count;
+  for (int i = statement + 1; i < count; ++i) {
+    const std::string* node = FindNote(spans[i], kNodeNote);
+    if (spans[i].parent == statement && node != nullptr &&
+        *node == "plan+bind") {
+      final_start = i;
+    }
+  }
+  std::vector<int> node_of(spans.size(), -1);  // span -> index in out.nodes
+  for (int i = final_start; i < count; ++i) {
+    const obs::TraceSpan& span = spans[i];
+    if (span.parent != statement || span.name != "exec.select") continue;
+    node_of[i] = static_cast<int>(out.nodes.size());
+    const std::string* label = FindNote(span, kNodeNote);
+    const std::string* rows = FindNote(span, kRowsNote);
+    out.nodes.push_back(PlanNodeStats{
+        .label = label != nullptr ? *label : span.name,
+        .rows = rows != nullptr ? std::stoull(*rows) : 0,
+        .rpcs = 0,
+        .virtual_us = span.duration_us()});
+    out.node_sum_us += span.duration_us();
+  }
+  // Each `rpc.*` span beneath the statement belongs to the node span it
+  // descends from; those of earlier attempts belong to `dirty restarts`.
+  // Parents precede children, so the walk up stops at the statement.
+  PlanNodeStats restarts{.label = "dirty restarts"};
+  for (int i = statement + 1; i < count; ++i) {
+    if (!spans[i].name.starts_with("rpc.")) continue;
+    int top = i;
+    while (spans[top].parent > statement) top = spans[top].parent;
+    if (spans[top].parent != statement) continue;  // not beneath it
+    ++(node_of[top] >= 0 ? out.nodes[node_of[top]] : restarts).rpcs;
+  }
+  if (result.dirty_restarts > 0 && statement < count) {
+    // Aborted attempts and their backoffs: whatever the statement span holds
+    // beyond the final attempt's nodes. Rows = aborted attempts.
+    restarts.rows = static_cast<size_t>(result.dirty_restarts);
+    restarts.virtual_us = spans[statement].duration_us() - out.node_sum_us;
+    out.node_sum_us += restarts.virtual_us;
+    out.nodes.insert(out.nodes.begin(), restarts);
+  }
+  out.result = std::move(result);
+  out.text = RenderAnalyze(out);
+  return out;
+}
+
 Executor::Executor(TableAdapter* adapter) : adapter_(adapter) {
   obs::MetricsRegistry& r = adapter_->cluster()->metrics();
   statements_ = r.GetCounter("exec_statements_total",
@@ -645,56 +718,17 @@ StatusOr<QueryResult> Executor::ExecuteSelect(hbase::Session& s,
                                               const sql::SelectStatement& stmt,
                                               BoundParams params,
                                               const ExecOptions& options) {
-  return RunStatement(s, stmt, params, options, /*nodes=*/nullptr);
-}
-
-StatusOr<AnalyzeResult> Executor::ExplainAnalyze(
-    hbase::Session& s, const sql::SelectStatement& stmt, BoundParams params,
-    const ExecOptions& options) {
-  AnalyzeResult out;
-  const double start_us = s.meter().micros();
-  const uint64_t start_rpcs = s.counts().rpcs;
-  SYNERGY_ASSIGN_OR_RETURN(result,
-                           RunStatement(s, stmt, params, options, &out.nodes));
-  out.result = std::move(result);
-  out.total_virtual_us = s.meter().Since(start_us);
-  out.total_rpcs = s.counts().rpcs - start_rpcs;
-  for (const PlanNodeStats& node : out.nodes) {
-    out.node_sum_us += node.virtual_us;
-  }
-  out.text = RenderAnalyze(out);
-  return out;
-}
-
-StatusOr<QueryResult> Executor::RunStatement(hbase::Session& s,
-                                             const sql::SelectStatement& stmt,
-                                             BoundParams params,
-                                             const ExecOptions& options,
-                                             std::vector<PlanNodeStats>* nodes) {
   statements_->Inc();
   obs::ScopedSpan span(s.trace(), "exec.select");
   const double start_us = s.meter().micros();
-  // Virtual time and RPCs burned by attempts that aborted on a dirty row
-  // (including the per-restart backoff charge); surfaced as a pseudo-node so
-  // the analyzed totals still balance.
-  PlanNodeStats restart_node;
-  restart_node.label = "dirty restarts";
   int restarts = 0;
   while (true) {
-    if (nodes != nullptr) nodes->clear();
-    const double attempt_us = s.meter().micros();
-    const uint64_t attempt_rpcs = s.counts().rpcs;
-    StatusOr<QueryResult> result = ExecuteOnce(s, stmt, params, options, nodes);
+    StatusOr<QueryResult> result = ExecuteOnce(s, stmt, params, options);
     if (result.ok()) {
       result->dirty_restarts = restarts;
       if (restarts > 0) {
         dirty_restarts_->Inc(static_cast<uint64_t>(restarts));
         span.Note("dirty_restarts", std::to_string(restarts));
-        if (nodes != nullptr) {
-          // rows = aborted attempts, by analogy with rows-produced.
-          restart_node.rows = static_cast<size_t>(restarts);
-          nodes->insert(nodes->begin(), restart_node);
-        }
       }
       statement_us_->Observe(s.meter().Since(start_us));
       return result;
@@ -705,8 +739,6 @@ StatusOr<QueryResult> Executor::RunStatement(hbase::Session& s,
       // Back off for roughly one RPC before re-scanning.
       s.meter().Charge(
           adapter_->cluster()->cost_model().rpc_base_us);
-      restart_node.virtual_us += s.meter().Since(attempt_us);
-      restart_node.rpcs += s.counts().rpcs - attempt_rpcs;
       continue;
     }
     statement_us_->Observe(s.meter().Since(start_us));
@@ -717,11 +749,14 @@ StatusOr<QueryResult> Executor::RunStatement(hbase::Session& s,
 StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
                                             const sql::SelectStatement& stmt,
                                             BoundParams params,
-                                            const ExecOptions& options,
-                                            std::vector<PlanNodeStats>* nodes) {
-  const bool analyze = nodes != nullptr;
-  const double exec_start_us = s.meter().micros();
-  const uint64_t exec_start_rpcs = s.counts().rpcs;
+                                            const ExecOptions& options) {
+  // Plan nodes are `exec.select` spans opened back to back — plan+bind,
+  // each step, the sink's Finish — so on a traced session their durations
+  // partition this attempt's meter charge. Labels are built only when
+  // traced.
+  obs::TraceCollector* trace = s.trace();
+  obs::ScopedSpan bind_node(trace, "exec.select");
+  if (trace != nullptr) bind_node.Note(kNodeNote, "plan+bind");
   const sql::Catalog& catalog = adapter_->catalog();
   const sim::CostModel& model = adapter_->cluster()->cost_model();
   PlannerOptions popts;
@@ -757,8 +792,9 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
     residuals[i] = std::move(bound);
   }
 
+  const bool aggregate = stmt.HasAggregates() || !stmt.group_by.empty();
   std::unique_ptr<Sink> sink;
-  if (stmt.HasAggregates() || !stmt.group_by.empty()) {
+  if (aggregate) {
     SYNERGY_ASSIGN_OR_RETURN(
         agg, AggSink::Make(stmt, final_schema, s, model, options));
     sink = std::move(agg);
@@ -767,30 +803,7 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
         plain, PlainSink::Make(stmt, final_schema, s, model, options));
     sink = std::move(plain);
   }
-
-  // EXPLAIN ANALYZE accounting: every sink->Process call goes through this
-  // wrapper so sink time (aggregation/top-N charges) accrued while a stage
-  // is driving rows is attributed to the sink node, not the stage. Stage
-  // nodes then measure their meter/RPC interval minus the sink accrual, so
-  // the node intervals partition the statement's total charge exactly.
-  double sink_us = 0.0;
-  uint64_t sink_rpcs = 0;
-  auto sink_process = [&](const std::vector<Value>& row) -> StatusOr<bool> {
-    if (!analyze) return sink->Process(row);
-    const double m0 = s.meter().micros();
-    const uint64_t r0 = s.counts().rpcs;
-    StatusOr<bool> keep = sink->Process(row);
-    sink_us += s.meter().Since(m0);
-    sink_rpcs += s.counts().rpcs - r0;
-    return keep;
-  };
-  if (analyze) {
-    PlanNodeStats bind;
-    bind.label = "plan+bind";
-    bind.virtual_us = s.meter().Since(exec_start_us);
-    bind.rpcs = s.counts().rpcs - exec_start_rpcs;
-    nodes->push_back(bind);
-  }
+  bind_node.Close();
 
   // Streams rows of one table according to its access path. The callback
   // receives a reusable slot row (relation column order); it may move the
@@ -886,16 +899,14 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
   {
     const PlanStep& step = plan.steps[0];
     const std::vector<BoundPredicate>& residual = residuals[0];
-    const double stage_us = s.meter().micros();
-    const uint64_t stage_rpcs = s.counts().rpcs;
-    const double stage_sink_us = sink_us;
-    const uint64_t stage_sink_rpcs = sink_rpcs;
+    obs::ScopedSpan node(trace, "exec.select");
+    if (trace != nullptr) node.Note(kNodeNote, StepLabel(step, 0));
     size_t stage_rows = 0;
     auto consume = [&](SlotRow& row) -> StatusOr<bool> {
       if (!EvalBound(residual, row.values)) return true;
       ++stage_rows;
       if (n == 1) {
-        SYNERGY_ASSIGN_OR_RETURN(keep, sink_process(row.values));
+        SYNERGY_ASSIGN_OR_RETURN(keep, sink->Process(row.values));
         if (!keep) {
           stopped = true;
           return false;
@@ -906,14 +917,7 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
       return true;
     };
     SYNERGY_RETURN_IF_ERROR(for_each_table_row(step, consume));
-    if (analyze) {
-      PlanNodeStats node;
-      node.label = StepLabel(step, 0);
-      node.rows = stage_rows;
-      node.virtual_us = s.meter().Since(stage_us) - (sink_us - stage_sink_us);
-      node.rpcs = s.counts().rpcs - stage_rpcs - (sink_rpcs - stage_sink_rpcs);
-      nodes->push_back(node);
-    }
+    if (trace != nullptr) node.Note(kRowsNote, std::to_string(stage_rows));
   }
 
   for (size_t i = 1; i < n && !stopped; ++i) {
@@ -921,10 +925,8 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
     const bool last = (i == n - 1);
     const RowSchema& outer_schema = *cum_schemas[i - 1];
     const std::vector<BoundPredicate>& residual = residuals[i];
-    const double stage_us = s.meter().micros();
-    const uint64_t stage_rpcs = s.counts().rpcs;
-    const double stage_sink_us = sink_us;
-    const uint64_t stage_sink_rpcs = sink_rpcs;
+    obs::ScopedSpan node(trace, "exec.select");
+    if (trace != nullptr) node.Note(kNodeNote, StepLabel(step, i));
     size_t stage_rows = 0;
     std::vector<std::vector<Value>> next;
     std::vector<Value> combined;  // reused when feeding the sink
@@ -940,7 +942,7 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
       s.meter().Charge(model.join_emit_row_us);
       ++stage_rows;
       if (last) {
-        SYNERGY_ASSIGN_OR_RETURN(keep, sink_process(combined));
+        SYNERGY_ASSIGN_OR_RETURN(keep, sink->Process(combined));
         if (!keep) {
           stopped = true;
           return false;
@@ -1095,34 +1097,21 @@ StatusOr<QueryResult> Executor::ExecuteOnce(hbase::Session& s,
       };
       SYNERGY_RETURN_IF_ERROR(for_each_table_row(step, consume));
     }
-    if (analyze) {
-      PlanNodeStats node;
-      node.label = StepLabel(step, i);
-      node.rows = stage_rows;
-      node.virtual_us = s.meter().Since(stage_us) - (sink_us - stage_sink_us);
-      node.rpcs = s.counts().rpcs - stage_rpcs - (sink_rpcs - stage_sink_rpcs);
-      nodes->push_back(node);
-    }
+    if (trace != nullptr) node.Note(kRowsNote, std::to_string(stage_rows));
     if (!last) {
       current = std::move(next);
     }
   }
 
   QueryResult result;
-  const double finish_us = s.meter().micros();
-  const uint64_t finish_rpcs = s.counts().rpcs;
+  obs::ScopedSpan sink_node(trace, "exec.select");
+  if (trace != nullptr) {
+    sink_node.Note(kNodeNote, aggregate ? "sink: aggregate"
+                                        : "sink: project/sort/limit");
+  }
   SYNERGY_RETURN_IF_ERROR(sink->Finish(&result));
-  if (analyze) {
-    sink_us += s.meter().Since(finish_us);
-    sink_rpcs += s.counts().rpcs - finish_rpcs;
-    PlanNodeStats node;
-    node.label = (stmt.HasAggregates() || !stmt.group_by.empty())
-                     ? "sink: aggregate"
-                     : "sink: project/sort/limit";
-    node.rows = result.row_count;
-    node.virtual_us = sink_us;
-    node.rpcs = sink_rpcs;
-    nodes->push_back(node);
+  if (trace != nullptr) {
+    sink_node.Note(kRowsNote, std::to_string(result.row_count));
   }
   return result;
 }

@@ -6,10 +6,14 @@
 // ExecOptions.detect_dirty is set and a scan encounters a marked row, the
 // whole statement is restarted (bounded retries).
 //
-// EXPLAIN ANALYZE (ExplainAnalyze) runs a statement and attributes its
-// virtual cost to plan nodes: each node's virtual-µs is measured as a
-// meter-delta interval exclusive of the other nodes, so the per-node sum
-// equals the statement's total meter charge (docs/OBSERVABILITY.md).
+// Cost attribution has one path, the trace: on a traced session a statement
+// opens an `exec.select` span, and each plan node — plan+bind, every
+// PlanStep, the sink's Finish — opens a child `exec.select` span noted with
+// its label and row count. Node spans are contiguous, so their durations
+// partition each attempt's meter charge. A sink's per-row charges land in
+// the node of the step driving the rows. EXPLAIN ANALYZE (AnalyzeTrace,
+// via SynergySystem::ExplainAnalyzeRead) is a view over those spans
+// (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdint>
@@ -22,6 +26,7 @@
 #include "exec/expression.h"
 #include "exec/planner.h"
 #include "exec/table_adapter.h"
+#include "obs/trace.h"
 
 namespace synergy::exec {
 
@@ -43,11 +48,10 @@ struct QueryResult {
   int dirty_restarts = 0;
 };
 
-/// Runtime stats for one plan node of an analyzed statement. The virtual-µs
-/// intervals of a statement's nodes partition its meter charge: each node's
-/// time excludes the time attributed to other nodes (sink time accrued
-/// while a stage was driving rows is charged to the sink node, not the
-/// stage), so summing nodes reproduces the statement total exactly.
+/// Runtime stats for one plan node of an analyzed statement, read off its
+/// node span: the span's duration, its `rows` note, and the `rpc.*` spans
+/// beneath it. Node spans are contiguous, so summing nodes reproduces the
+/// statement total.
 struct PlanNodeStats {
   std::string label;
   size_t rows = 0;        // rows the node produced
@@ -67,6 +71,18 @@ struct AnalyzeResult {
   std::string text;  // rendered table (one line per node + totals)
 };
 
+/// EXPLAIN ANALYZE as a view over the trace of one executed SELECT,
+/// recorded with RPC spans on. The nodes are the final attempt's node
+/// spans; when the statement restarted on dirty rows, a leading
+/// `dirty restarts` pseudo-node holds the rest of the statement span (the
+/// aborted attempts and their backoffs) with rows = `dirty_restarts`.
+/// `total_virtual_us` and `total_rpcs` are the meter and RPC-count deltas
+/// the caller measured around the statement, the independent cross-check
+/// of the node sums.
+AnalyzeResult AnalyzeTrace(const obs::TraceCollector& trace,
+                           QueryResult result, double total_virtual_us,
+                           uint64_t total_rpcs);
+
 class Executor {
  public:
   /// Resolves the executor's metric handles from the adapter's cluster
@@ -74,37 +90,24 @@ class Executor {
   /// exec_statement_virtual_us).
   explicit Executor(TableAdapter* adapter);
 
-  /// Plans and executes a SELECT. The statement must outlive the call.
+  /// Plans and executes a SELECT, restarting it (with a one-RPC backoff)
+  /// on a dirty row when options.detect_dirty is set. The statement must
+  /// outlive the call.
   StatusOr<QueryResult> ExecuteSelect(hbase::Session& s,
                                       const sql::SelectStatement& stmt,
                                       BoundParams params,
                                       const ExecOptions& options = {});
-
-  /// Runs the statement and decomposes its virtual cost into plan nodes.
-  /// Dirty restarts (detect_dirty) fold the aborted attempts into a
-  /// `dirty restarts` pseudo-node so the totals still balance.
-  StatusOr<AnalyzeResult> ExplainAnalyze(hbase::Session& s,
-                                         const sql::SelectStatement& stmt,
-                                         BoundParams params,
-                                         const ExecOptions& options = {});
 
   /// Explain the plan that would be chosen (for tests and ablations).
   StatusOr<std::string> Explain(const sql::SelectStatement& stmt,
                                 const ExecOptions& options = {});
 
  private:
-  /// ExecuteSelect's restart loop; when `nodes` is non-null, per-node stats
-  /// are collected (cleared on each restart, pseudo-node prepended).
-  StatusOr<QueryResult> RunStatement(hbase::Session& s,
-                                     const sql::SelectStatement& stmt,
-                                     BoundParams params,
-                                     const ExecOptions& options,
-                                     std::vector<PlanNodeStats>* nodes);
+  /// One attempt of ExecuteSelect's dirty-read restart loop.
   StatusOr<QueryResult> ExecuteOnce(hbase::Session& s,
                                     const sql::SelectStatement& stmt,
                                     BoundParams params,
-                                    const ExecOptions& options,
-                                    std::vector<PlanNodeStats>* nodes);
+                                    const ExecOptions& options);
 
   TableAdapter* adapter_;
   // Registry handles (cluster->metrics()), resolved at construction.

@@ -43,11 +43,6 @@ ClusterOpCounters ClusterOpCounters::Resolve(obs::MetricsRegistry& registry) {
 Session::Session(Cluster* cluster)
     : cluster_(cluster), counters_(&cluster->counters()) {}
 
-template <typename Fn>
-auto Cluster::RunWithRetries(Session& s, Fn&& fn) -> decltype(fn()) {
-  return RunWithRetryProtection(*this, s, std::forward<Fn>(fn), [] {});
-}
-
 Status Cluster::CreateTable(const TableDescriptor& desc,
                             const std::vector<std::string>& split_keys) {
   std::unique_lock lock(tables_mutex_);
@@ -139,94 +134,92 @@ StatusOr<Table*> Cluster::FindTable(const std::string& name) const {
   return it->second.get();
 }
 
+const char* Cluster::RpcSpanName(RpcKind kind) {
+  switch (kind) {
+    case RpcKind::kPut: return "rpc.put";
+    case RpcKind::kGet: return "rpc.get";
+    case RpcKind::kDelete: return "rpc.delete";
+    case RpcKind::kCheckAndPut: return "rpc.check_and_put";
+    case RpcKind::kIncrement: return "rpc.increment";
+    case RpcKind::kScanBatch: return "rpc.scan_batch";
+  }
+  return "rpc.?";
+}
+
+template <typename Body>
+auto Cluster::Rpc(Session& s, RpcKind kind, const std::string& table,
+                  const std::string& key, std::optional<double> request_us,
+                  Body&& body) -> decltype(body(nullptr)) {
+  using Result = decltype(body(nullptr));
+  const bool is_read = kind == RpcKind::kGet || kind == RpcKind::kScanBatch;
+  return RunWithRetryProtection(*this, s, [&]() -> Result {
+    failover_->OnRpc();
+    s.CountRpc();
+    if (kind == RpcKind::kScanBatch) counters_.scan_batches->Inc();
+    // Notes are built only for a traced session: table names (view names
+    // outgrow the small-string buffer) are not copied on untraced RPCs.
+    obs::TraceCollector* trace = s.rpc_trace();
+    obs::ScopedSpan span(trace, RpcSpanName(kind));
+    if (trace != nullptr) span.Note("table", table);
+    SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
+    if (request_us.has_value()) s.meter().Charge(*request_us);
+    Region* region = kind == RpcKind::kScanBatch ? t->RouteScanStart(key)
+                                                 : t->RouteKey(key);
+    if (trace != nullptr) {
+      span.Note("server", std::to_string(region->server_id()));
+    }
+    const RegionAccess access = failover_->CheckAccess(region, !is_read);
+    SYNERGY_RETURN_IF_ERROR(access.status);
+    if (access.degraded) {
+      s.CountDegradedRead();
+      if (trace != nullptr) span.Note("degraded", "1");
+    }
+    AdmissionSlot slot;
+    SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
+    SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
+    return body(region);
+  }, [] {});
+}
+
 Status Cluster::Put(
     Session& s, const std::string& table, const std::string& row_key,
     const std::vector<std::pair<std::string, std::string>>& columns,
     std::optional<int64_t> ts) {
-  return RunWithRetries(
-      s, [&] { return PutOnce(s, table, row_key, columns, ts); });
-}
-
-Status Cluster::PutOnce(
-    Session& s, const std::string& table, const std::string& row_key,
-    const std::vector<std::pair<std::string, std::string>>& columns,
-    std::optional<int64_t> ts) {
-  failover_->OnRpc();
-  s.CountRpc();
-  obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.put");
-  rpc_span.Note("table", table);
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
   size_t payload = row_key.size();
   for (const auto& [qual, value] : columns) payload += qual.size() + value.size();
-  s.meter().Charge(sim::RpcCost(model_, payload) + model_.server_seek_us);
-  Region* region = t->RouteKey(row_key);
-  rpc_span.Note("server", std::to_string(region->server_id()));
-  const RegionAccess access = failover_->CheckAccess(region, /*is_write=*/true);
-  SYNERGY_RETURN_IF_ERROR(access.status);
-  AdmissionSlot slot;
-  SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
-  SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  region->Put(row_key, columns, ts, s.durability());
-  return InjectAckFault(table, region);
+  return Rpc(s, RpcKind::kPut, table, row_key,
+             sim::RpcCost(model_, payload) + model_.server_seek_us,
+             [&](Region* region) {
+               region->Put(row_key, columns, ts, s.durability());
+               return InjectAckFault(table, region);
+             });
 }
 
 StatusOr<RowResult> Cluster::Get(Session& s, const std::string& table,
                                  const std::string& row_key) {
-  return RunWithRetries(s, [&] { return GetOnce(s, table, row_key); });
-}
-
-StatusOr<RowResult> Cluster::GetOnce(Session& s, const std::string& table,
-                                     const std::string& row_key) {
-  failover_->OnRpc();
-  s.CountRpc();
-  obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.get");
-  rpc_span.Note("table", table);
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  Region* region = t->RouteKey(row_key);
-  rpc_span.Note("server", std::to_string(region->server_id()));
-  const RegionAccess access =
-      failover_->CheckAccess(region, /*is_write=*/false);
-  SYNERGY_RETURN_IF_ERROR(access.status);
-  if (access.degraded) {
-    s.CountDegradedRead();
-    rpc_span.Note("degraded", "1");
-  }
-  AdmissionSlot slot;
-  SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
-  SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  std::optional<RowResult> row = region->Get(row_key, s.read_view());
-  const size_t payload = row.has_value() ? row->PayloadBytes() : 0;
-  s.meter().Charge(sim::RpcCost(model_, payload) + model_.server_seek_us);
-  if (!row.has_value()) {
-    return Status::NotFound("row in " + table);
-  }
-  return std::move(*row);
+  return Rpc(s, RpcKind::kGet, table, row_key, std::nullopt,
+             [&](Region* region) -> StatusOr<RowResult> {
+               std::optional<RowResult> row =
+                   region->Get(row_key, s.read_view());
+               const size_t payload =
+                   row.has_value() ? row->PayloadBytes() : 0;
+               s.meter().Charge(sim::RpcCost(model_, payload) +
+                                model_.server_seek_us);
+               if (!row.has_value()) {
+                 return Status::NotFound("row in " + table);
+               }
+               return std::move(*row);
+             });
 }
 
 Status Cluster::Delete(Session& s, const std::string& table,
                        const std::string& row_key, std::optional<int64_t> ts) {
-  return RunWithRetries(s, [&] { return DeleteOnce(s, table, row_key, ts); });
-}
-
-Status Cluster::DeleteOnce(Session& s, const std::string& table,
-                           const std::string& row_key,
-                           std::optional<int64_t> ts) {
-  failover_->OnRpc();
-  s.CountRpc();
-  obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.delete");
-  rpc_span.Note("table", table);
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  s.meter().Charge(sim::RpcCost(model_, row_key.size()) +
-                   model_.server_seek_us);
-  Region* region = t->RouteKey(row_key);
-  rpc_span.Note("server", std::to_string(region->server_id()));
-  const RegionAccess access = failover_->CheckAccess(region, /*is_write=*/true);
-  SYNERGY_RETURN_IF_ERROR(access.status);
-  AdmissionSlot slot;
-  SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
-  SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  region->Delete(row_key, ts, s.durability());
-  return InjectAckFault(table, region);
+  return Rpc(s, RpcKind::kDelete, table, row_key,
+             sim::RpcCost(model_, row_key.size()) + model_.server_seek_us,
+             [&](Region* region) {
+               region->Delete(row_key, ts, s.durability());
+               return InjectAckFault(table, region);
+             });
 }
 
 StatusOr<bool> Cluster::CheckAndPut(Session& s, const std::string& table,
@@ -234,63 +227,27 @@ StatusOr<bool> Cluster::CheckAndPut(Session& s, const std::string& table,
                                     const std::string& qualifier,
                                     const std::optional<std::string>& expected,
                                     const std::string& new_value) {
-  return RunWithRetries(s, [&] {
-    return CheckAndPutOnce(s, table, row_key, qualifier, expected, new_value);
-  });
-}
-
-StatusOr<bool> Cluster::CheckAndPutOnce(
-    Session& s, const std::string& table, const std::string& row_key,
-    const std::string& qualifier, const std::optional<std::string>& expected,
-    const std::string& new_value) {
-  failover_->OnRpc();
-  s.CountRpc();
-  obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.check_and_put");
-  rpc_span.Note("table", table);
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  s.meter().Charge(model_.lock_rpc_us);
   // No ack-lost injection here: a CheckAndPut that applies but reports
   // failure is unresolvable ambiguity for the caller (non-idempotent CAS).
   // Request-lost/timeout/failover refusals happen before the CAS applies,
   // so the client retry loop stays safe.
-  Region* region = t->RouteKey(row_key);
-  rpc_span.Note("server", std::to_string(region->server_id()));
-  const RegionAccess access = failover_->CheckAccess(region, /*is_write=*/true);
-  SYNERGY_RETURN_IF_ERROR(access.status);
-  AdmissionSlot slot;
-  SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
-  SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  return region->CheckAndPut(row_key, qualifier, expected, new_value,
-                             s.durability());
+  return Rpc(s, RpcKind::kCheckAndPut, table, row_key, model_.lock_rpc_us,
+             [&](Region* region) -> StatusOr<bool> {
+               return region->CheckAndPut(row_key, qualifier, expected,
+                                          new_value, s.durability());
+             });
 }
 
 StatusOr<int64_t> Cluster::Increment(Session& s, const std::string& table,
                                      const std::string& row_key,
                                      const std::string& qualifier,
                                      int64_t delta) {
-  return RunWithRetries(
-      s, [&] { return IncrementOnce(s, table, row_key, qualifier, delta); });
-}
-
-StatusOr<int64_t> Cluster::IncrementOnce(Session& s, const std::string& table,
-                                         const std::string& row_key,
-                                         const std::string& qualifier,
-                                         int64_t delta) {
-  failover_->OnRpc();
-  s.CountRpc();
-  obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.increment");
-  rpc_span.Note("table", table);
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  s.meter().Charge(sim::RpcCost(model_, row_key.size() + 16) +
-                   model_.server_seek_us);
-  Region* region = t->RouteKey(row_key);
-  rpc_span.Note("server", std::to_string(region->server_id()));
-  const RegionAccess access = failover_->CheckAccess(region, /*is_write=*/true);
-  SYNERGY_RETURN_IF_ERROR(access.status);
-  AdmissionSlot slot;
-  SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
-  SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  return region->Increment(row_key, qualifier, delta, s.durability());
+  return Rpc(s, RpcKind::kIncrement, table, row_key,
+             sim::RpcCost(model_, row_key.size() + 16) + model_.server_seek_us,
+             [&](Region* region) {
+               return region->Increment(row_key, qualifier, delta,
+                                        s.durability());
+             });
 }
 
 StatusOr<Scanner> Cluster::OpenScanner(Session& s, const std::string& table,
@@ -307,54 +264,30 @@ StatusOr<ScanBatchResult> Cluster::ScanBatchRpc(Session& s,
                                                 const std::string& from,
                                                 const std::string& stop,
                                                 size_t limit) {
-  return RunWithRetries(
-      s, [&] { return ScanBatchRpcOnce(s, table, from, stop, limit); });
-}
-
-StatusOr<ScanBatchResult> Cluster::ScanBatchRpcOnce(Session& s,
-                                                    const std::string& table,
-                                                    const std::string& from,
-                                                    const std::string& stop,
-                                                    size_t limit) {
-  failover_->OnRpc();
-  s.CountRpc();
-  counters_.scan_batches->Inc();
-  obs::ScopedSpan rpc_span(s.rpc_trace(), "rpc.scan_batch");
-  rpc_span.Note("table", table);
-  SYNERGY_ASSIGN_OR_RETURN(t, FindTable(table));
-  Region* region = t->RouteScanStart(from);
-  rpc_span.Note("server", std::to_string(region->server_id()));
-  const RegionAccess access =
-      failover_->CheckAccess(region, /*is_write=*/false);
-  SYNERGY_RETURN_IF_ERROR(access.status);
-  if (access.degraded) {
-    s.CountDegradedRead();
-    rpc_span.Note("degraded", "1");
-  }
-  AdmissionSlot slot;
-  SYNERGY_RETURN_IF_ERROR(AdmitOp(s, table, region, &slot));
-  SYNERGY_RETURN_IF_ERROR(InjectRequestFault(table, region));
-  ScanBatchResult batch = region->ScanBatch(from, stop, limit, s.read_view());
-  // If the region was exhausted but the table continues, resume from the
-  // region's end key on the next RPC.
-  if (batch.exhausted && !region->end_key().empty() &&
-      (stop.empty() || region->end_key() < stop)) {
-    batch.exhausted = false;
-    batch.next_start_key = region->end_key();
-  }
-  size_t payload = 0;
-  for (const RowResult& row : batch.rows) payload += row.PayloadBytes();
-  double cost = sim::RpcCost(model_, payload) +
-                model_.server_scan_row_us *
-                    static_cast<double>(batch.rows_examined) +
-                model_.client_row_us * static_cast<double>(batch.rows.size());
-  if (s.read_view().exclude != nullptr) {
-    // MVCC visibility filtering work per examined row.
-    cost += model_.mvcc_read_filter_row_us *
-            static_cast<double>(batch.rows_examined);
-  }
-  s.meter().Charge(cost);
-  return batch;
+  auto scan = [&](Region* region) -> StatusOr<ScanBatchResult> {
+    ScanBatchResult batch = region->ScanBatch(from, stop, limit, s.read_view());
+    // If the region was exhausted but the table continues, resume from the
+    // region's end key on the next RPC.
+    if (batch.exhausted && !region->end_key().empty() &&
+        (stop.empty() || region->end_key() < stop)) {
+      batch.exhausted = false;
+      batch.next_start_key = region->end_key();
+    }
+    size_t payload = 0;
+    for (const RowResult& row : batch.rows) payload += row.PayloadBytes();
+    double cost = sim::RpcCost(model_, payload) +
+                  model_.server_scan_row_us *
+                      static_cast<double>(batch.rows_examined) +
+                  model_.client_row_us * static_cast<double>(batch.rows.size());
+    if (s.read_view().exclude != nullptr) {
+      // MVCC visibility filtering work per examined row.
+      cost += model_.mvcc_read_filter_row_us *
+              static_cast<double>(batch.rows_examined);
+    }
+    s.meter().Charge(cost);
+    return batch;
+  };
+  return Rpc(s, RpcKind::kScanBatch, table, from, std::nullopt, scan);
 }
 
 bool Scanner::FetchBatch() {

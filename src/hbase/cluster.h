@@ -405,30 +405,30 @@ class Cluster {
   Status AdmitOp(Session& s, const std::string& table, const Region* region,
                  AdmissionSlot* slot);
 
-  /// Runs `fn` (one RPC attempt returning Status or StatusOr<T>) under the
-  /// session's retry policy, charging backoff as virtual time and pumping
-  /// failover heartbeats through the waits.
-  template <typename Fn>
-  auto RunWithRetries(Session& s, Fn&& fn) -> decltype(fn());
+  enum class RpcKind {
+    kPut,
+    kGet,
+    kDelete,
+    kCheckAndPut,
+    kIncrement,
+    kScanBatch,
+  };
+  static const char* RpcSpanName(RpcKind kind);
 
-  // Single-attempt bodies of the public entry points.
-  Status PutOnce(Session& s, const std::string& table,
-                 const std::string& row_key,
-                 const std::vector<std::pair<std::string, std::string>>&
-                     columns,
-                 std::optional<int64_t> ts);
-  StatusOr<RowResult> GetOnce(Session& s, const std::string& table,
-                              const std::string& row_key);
-  Status DeleteOnce(Session& s, const std::string& table,
-                    const std::string& row_key, std::optional<int64_t> ts);
-  StatusOr<bool> CheckAndPutOnce(Session& s, const std::string& table,
-                                 const std::string& row_key,
-                                 const std::string& qualifier,
-                                 const std::optional<std::string>& expected,
-                                 const std::string& new_value);
-  StatusOr<int64_t> IncrementOnce(Session& s, const std::string& table,
-                                  const std::string& row_key,
-                                  const std::string& qualifier, int64_t delta);
+  /// The one RPC path: runs attempts under the session's retry policy
+  /// (RunWithRetryProtection). Each attempt ticks failover, counts one RPC
+  /// (and one scan batch), opens exactly one `rpc.<kind>` span noted with
+  /// the table and serving server, resolves and routes the table (scan
+  /// batches by start key), gates on failover access (noting degraded
+  /// reads) and admission, and consults the request-fault point; then
+  /// `body(region)` runs the region op under the span and admission slot.
+  /// `request_us`, when set, is charged right after the table lookup, so
+  /// mutations pay their request on every outcome past it; reads leave it
+  /// unset and charge in `body` after the read.
+  template <typename Body>
+  auto Rpc(Session& s, RpcKind kind, const std::string& table,
+           const std::string& key, std::optional<double> request_us,
+           Body&& body) -> decltype(body(nullptr));
 
   /// One scan RPC: fetch up to `limit` visible rows starting at `from`.
   /// Retries per batch under the session policy (a failed batch applied
@@ -437,11 +437,6 @@ class Cluster {
                                          const std::string& from,
                                          const std::string& stop,
                                          size_t limit);
-  StatusOr<ScanBatchResult> ScanBatchRpcOnce(Session& s,
-                                             const std::string& table,
-                                             const std::string& from,
-                                             const std::string& stop,
-                                             size_t limit);
 
   sim::CostModel model_;
   int num_region_servers_;

@@ -166,13 +166,21 @@ StatusOr<exec::QueryResult> SynergySystem::ExecuteRead(
 StatusOr<exec::AnalyzeResult> SynergySystem::ExplainAnalyzeRead(
     hbase::Session& s, const sql::SelectStatement& stmt,
     exec::BoundParams params) {
-  exec::ExecOptions options;
-  options.detect_dirty = true;
-  options.max_dirty_retries = config_.max_dirty_retries;
-  options.collect_rows = false;
-  c_reads_->Inc();
-  obs::ScopedSpan span(s.trace(), "synergy.read");
-  return executor_->ExplainAnalyze(s, stmt, params, options);
+  // A view over the statement's own trace: run it under a collector of its
+  // own, RPC spans on, then give the caller's collector back.
+  obs::TraceCollector trace(&s.meter());
+  trace.set_rpc_spans(true);
+  obs::TraceCollector* previous = s.trace();
+  s.SetTrace(&trace);
+  const double start_us = s.meter().micros();
+  const uint64_t start_rpcs = s.counts().rpcs;
+  StatusOr<exec::QueryResult> result =
+      ExecuteRead(s, stmt, params, /*collect_rows=*/false);
+  s.SetTrace(previous);
+  SYNERGY_RETURN_IF_ERROR(result.status());
+  return exec::AnalyzeTrace(trace, std::move(*result),
+                            s.meter().Since(start_us),
+                            s.counts().rpcs - start_rpcs);
 }
 
 StatusOr<std::optional<txn::LockSpec>> SynergySystem::DeriveLockSpec(
@@ -287,24 +295,30 @@ StatusOr<WriteResult> SynergySystem::ExecuteWrite(
   SYNERGY_ASSIGN_OR_RETURN(write, exec::BindWriteStatement(bound, catalog_));
 
   // Derive the single root lock (reads ancestor rows as needed). For
-  // update/delete the FK chain starts from the current base row.
+  // update/delete the FK chain starts from the current base row. An absent
+  // row has no chain to walk: a root still locks the row its key names, a
+  // non-root locks nothing.
   obs::ScopedSpan lock_span(s.trace(), "synergy.derive_lock");
+  std::optional<txn::LockSpec> lock;
   exec::SlotRow existing;
+  bool found = true;
   if (write.kind != exec::BoundWrite::Kind::kInsert) {
-    SYNERGY_ASSIGN_OR_RETURN(found, adapter_->GetByPk(s, write.relation,
-                                                      write.pk_values,
-                                                      &existing));
-    // An absent row derives its lock from an all-NULL tuple.
-    if (!found) {
-      existing.values.assign(
-          catalog_.FindRelation(write.relation)->columns.size(), Value());
-    }
+    SYNERGY_ASSIGN_OR_RETURN(
+        got, adapter_->GetByPk(s, write.relation, write.pk_values, &existing));
+    found = got;
   }
-  SYNERGY_ASSIGN_OR_RETURN(
-      lock, DeriveLockSpec(s, write.relation,
-                           write.kind == exec::BoundWrite::Kind::kInsert
-                               ? write.tuple
-                               : existing.values));
+  if (found) {
+    SYNERGY_ASSIGN_OR_RETURN(
+        derived, DeriveLockSpec(s, write.relation,
+                                write.kind == exec::BoundWrite::Kind::kInsert
+                                    ? write.tuple
+                                    : existing.values));
+    lock = std::move(derived);
+  } else if (auto chain = lock_chains_.find(write.relation);
+             chain != lock_chains_.end() && chain->second.hops.empty()) {
+    lock = txn::LockSpec{write.relation,
+                         exec::EncodePkKeyFromValues(write.pk_values)};
+  }
   lock_span.Close();
 
   const std::string payload = sql::StatementToString(bound);

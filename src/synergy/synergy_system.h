@@ -104,8 +104,10 @@ class SynergySystem {
                                      const std::vector<Value>& params);
 
   /// EXPLAIN ANALYZE under the read protocol (dirty-read restarts on, rows
-  /// not materialized): runs the statement and returns the per-plan-node
-  /// virtual cost decomposition.
+  /// not materialized): runs the statement through ExecuteRead under a
+  /// collector of its own with RPC spans on, restores the session's
+  /// previous collector, and returns the per-plan-node decomposition read
+  /// off the spans (exec::AnalyzeTrace).
   StatusOr<exec::AnalyzeResult> ExplainAnalyzeRead(
       hbase::Session& s, const sql::SelectStatement& stmt,
       exec::BoundParams params);

@@ -1,8 +1,9 @@
-// EXPLAIN ANALYZE regression: the per-plan-node virtual-µs decomposition
-// must reproduce the cost-meter total — exactly in the clean case, and
-// still within the 1% acceptance budget when dirty-read restarts fold
-// aborted attempts into their pseudo-node. Also checks the trace-span and
-// registry sides of the same statement.
+// EXPLAIN ANALYZE regression: the per-plan-node virtual-µs decomposition,
+// read off the statement's `exec.select` node spans, must reproduce the
+// cost-meter total — exactly in the clean case, and still within the 1%
+// acceptance budget when dirty-read restarts fold aborted attempts into
+// their pseudo-node. Also checks the trace-span and registry sides of the
+// same statement.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +11,7 @@
 
 #include "company_fixture.h"
 #include "obs/trace.h"
+#include "sql/parser.h"
 #include "synergy/synergy_system.h"
 #include "testing/fault_injector.h"
 #include "tuple_builder.h"
@@ -181,6 +183,83 @@ TEST_F(ExplainAnalyzeTest, TraceSpansDecomposeStatementCost) {
   EXPECT_TRUE(saw_synergy_read);
   EXPECT_TRUE(saw_exec_select);
   EXPECT_NE(trace.Render().find("synergy.read"), std::string::npos);
+}
+
+
+TEST_F(ExplainAnalyzeTest, AggregateNodeSumMatchesMeterTotal) {
+  // AggSink charges per row while the last step drives rows, so that charge
+  // lands in the step's node; Finish is the sink node.
+  const sql::Statement stmt = sql::MustParse(
+      "SELECT e.E_DNo, COUNT(*) AS n FROM Employee as e, Works_On as wo "
+      "WHERE e.EID = wo.WO_EID GROUP BY e.E_DNo");
+  hbase::Session s(&cluster_);
+  auto r = system_->ExplainAnalyzeRead(
+      s, std::get<sql::SelectStatement>(stmt), {});
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_GE(r->nodes.size(), 3u);  // plan+bind, >= 1 step, sink
+  EXPECT_EQ(r->nodes.front().label, "plan+bind");
+  EXPECT_EQ(r->nodes.back().label, "sink: aggregate");
+  EXPECT_EQ(r->nodes.back().rows, r->result.row_count);
+  EXPECT_EQ(r->result.row_count, 2u);  // two departments
+  double node_sum = 0.0;
+  for (const exec::PlanNodeStats& n : r->nodes) node_sum += n.virtual_us;
+  EXPECT_GT(r->total_virtual_us, 0.0);
+  EXPECT_NEAR(node_sum, r->total_virtual_us,
+              1e-6 * r->total_virtual_us + 1e-6);
+}
+
+TEST_F(ExplainAnalyzeTest, SelectSelfTimeIsStatementMinusRpcSpans) {
+  // The rule behind synbench's exec.select_self_vus_per_read: summed self
+  // time of every `exec.select` span (statement and plan nodes) equals the
+  // statement span's duration minus the `rpc.*` spans beneath it.
+  hbase::Session s(&cluster_);
+  obs::TraceCollector trace(&s.meter());
+  trace.set_rpc_spans(true);
+  s.SetTrace(&trace);
+  const std::vector<Value> params{Value(1)};
+  ASSERT_TRUE(
+      system_->ExecuteRead(s, Stmt("W2"), params, /*collect_rows=*/false)
+          .ok());
+  s.SetTrace(nullptr);
+
+  const std::vector<obs::TraceSpan>& spans = trace.spans();
+  std::vector<double> child_us(spans.size(), 0.0);
+  for (const obs::TraceSpan& span : spans) {
+    if (span.parent >= 0) {
+      child_us[static_cast<size_t>(span.parent)] += span.duration_us();
+    }
+  }
+  int statement = -1;
+  size_t select_spans = 0;
+  double select_self_us = 0.0, rpc_us = 0.0;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name == "exec.select") {
+      if (statement < 0) statement = static_cast<int>(i);
+      ++select_spans;
+      select_self_us += spans[i].duration_us() - child_us[i];
+    } else if (spans[i].name.starts_with("rpc.")) {
+      rpc_us += spans[i].duration_us();
+    }
+  }
+  ASSERT_GE(statement, 0);
+  EXPECT_GE(select_spans, 4u);  // statement, plan+bind, >= 1 step, sink
+  EXPECT_GT(rpc_us, 0.0);
+  const double statement_us =
+      spans[static_cast<size_t>(statement)].duration_us();
+  EXPECT_NEAR(select_self_us, statement_us - rpc_us,
+              1e-6 * statement_us + 1e-6);
+}
+
+TEST_F(ExplainAnalyzeTest, ExplainAnalyzeKeepsTheCallersCollector) {
+  hbase::Session s(&cluster_);
+  obs::TraceCollector mine(&s.meter());
+  s.SetTrace(&mine);
+  const std::vector<Value> params{Value(1)};
+  auto r = system_->ExplainAnalyzeRead(s, Stmt("W2"), params);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(s.trace(), &mine);
+  EXPECT_FALSE(r->nodes.empty());
+  s.SetTrace(nullptr);
 }
 
 }  // namespace

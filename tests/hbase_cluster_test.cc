@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "obs/trace.h"
 #include "testing/fault_injector.h"
 
 namespace synergy::hbase {
@@ -264,6 +267,207 @@ TEST_F(ClusterTest, MajorCompactionShrinksMultiVersionData) {
   const size_t before = cluster_.TotalBytes();
   cluster_.MajorCompactAll();
   EXPECT_LT(cluster_.TotalBytes(), before);
+}
+
+
+// ---- the RPC boundary contract, per kind and outcome ----
+//
+// Every RPC attempt, whatever its outcome, opens exactly one `rpc.<kind>`
+// span noted with its table and serving server (and `degraded` when served
+// at bounded staleness), counts one RPC on the session and in
+// hbase_rpcs_total, and charges what its kind charges on that path:
+// Put/Delete/CheckAndPut/Increment charge their request before routing, so
+// every outcome pays it; Get and scan batches charge after the read, so
+// only served reads pay.
+
+enum class RpcKind {
+  kPut,
+  kGet,
+  kDelete,
+  kCheckAndPut,
+  kIncrement,
+  kScanBatch,
+};
+enum class Outcome {
+  kOk,
+  kRequestLost,
+  kRpcTimeout,
+  kAckLost,
+  kCrashedServer,
+  kDegradedRead,
+  kAdmissionShed,
+};
+
+const char* SpanName(RpcKind kind) {
+  switch (kind) {
+    case RpcKind::kPut: return "rpc.put";
+    case RpcKind::kGet: return "rpc.get";
+    case RpcKind::kDelete: return "rpc.delete";
+    case RpcKind::kCheckAndPut: return "rpc.check_and_put";
+    case RpcKind::kIncrement: return "rpc.increment";
+    case RpcKind::kScanBatch: return "rpc.scan_batch";
+  }
+  return "?";
+}
+
+const char* OutcomeName(Outcome outcome) {
+  switch (outcome) {
+    case Outcome::kOk: return "ok";
+    case Outcome::kRequestLost: return "request-lost";
+    case Outcome::kRpcTimeout: return "rpc-timeout";
+    case Outcome::kAckLost: return "ack-lost";
+    case Outcome::kCrashedServer: return "crashed-server";
+    case Outcome::kDegradedRead: return "degraded-read";
+    case Outcome::kAdmissionShed: return "admission-shed";
+  }
+  return "?";
+}
+
+bool IsRead(RpcKind kind) {
+  return kind == RpcKind::kGet || kind == RpcKind::kScanBatch;
+}
+
+/// One attempt of `kind` against row "r" (seeded as {v: x}) of table "t".
+Status Attempt(Cluster& cluster, Session& s, RpcKind kind) {
+  switch (kind) {
+    case RpcKind::kPut: return cluster.Put(s, "t", "r", {{"v", "y"}});
+    case RpcKind::kGet: return cluster.Get(s, "t", "r").status();
+    case RpcKind::kDelete: return cluster.Delete(s, "t", "r");
+    case RpcKind::kCheckAndPut:
+      return cluster.CheckAndPut(s, "t", "r", "lock", std::nullopt, "1")
+          .status();
+    case RpcKind::kIncrement:
+      return cluster.Increment(s, "t", "r", "n", 1).status();
+    case RpcKind::kScanBatch: {
+      StatusOr<Scanner> scanner = cluster.OpenScanner(s, "t");
+      if (!scanner.ok()) return scanner.status();
+      RowResult row;
+      scanner->Next(&row);  // one row, one region: exactly one batch RPC
+      return scanner->status();
+    }
+  }
+  return Status::Internal("bad kind");
+}
+
+/// The virtual µs one attempt charges when the path reaches its charge.
+double KindCharge(const sim::CostModel& m, RpcKind kind) {
+  const size_t row_payload = 3;  // "r" + "v" + "x"
+  switch (kind) {
+    case RpcKind::kPut:
+      return sim::RpcCost(m, 3) + m.server_seek_us;  // "r" + "v" + "y"
+    case RpcKind::kGet:
+      return sim::RpcCost(m, row_payload) + m.server_seek_us;
+    case RpcKind::kDelete: return sim::RpcCost(m, 1) + m.server_seek_us;
+    case RpcKind::kCheckAndPut: return m.lock_rpc_us;
+    case RpcKind::kIncrement: return sim::RpcCost(m, 1 + 16) + m.server_seek_us;
+    case RpcKind::kScanBatch:
+      return sim::RpcCost(m, row_payload) + m.server_scan_row_us +
+             m.client_row_us;
+  }
+  return 0.0;
+}
+
+TEST(ClusterRpcBoundaryTest, EveryKindAndOutcomeOpensOneCountedSpan) {
+  const RpcKind kinds[] = {RpcKind::kPut,         RpcKind::kGet,
+                           RpcKind::kDelete,      RpcKind::kCheckAndPut,
+                           RpcKind::kIncrement,   RpcKind::kScanBatch};
+  const Outcome outcomes[] = {
+      Outcome::kOk,           Outcome::kRequestLost,   Outcome::kRpcTimeout,
+      Outcome::kAckLost,      Outcome::kCrashedServer, Outcome::kDegradedRead,
+      Outcome::kAdmissionShed};
+  for (const RpcKind kind : kinds) {
+    for (const Outcome outcome : outcomes) {
+      // Ack-lost is injected on Put and Delete only; degraded reads exist
+      // for Get and scan batches only.
+      const bool mutation = kind == RpcKind::kPut || kind == RpcKind::kDelete;
+      if (outcome == Outcome::kAckLost && !mutation) continue;
+      if (outcome == Outcome::kDegradedRead && !IsRead(kind)) continue;
+      SCOPED_TRACE(std::string(SpanName(kind)) + " / " + OutcomeName(outcome));
+
+      FailoverConfig failover;
+      failover.reassign_regions_per_round = 0;  // hold dead regions in place
+      Cluster cluster;
+      cluster.ConfigureFailover(failover);
+      ASSERT_TRUE(cluster.CreateTable({.name = "t"}).ok());
+      Session s(&cluster);
+      ASSERT_TRUE(cluster.Put(s, "t", "r", {{"v", "x"}}).ok());
+      const StatusOr<int> server = cluster.RegionServerOf("t");
+      ASSERT_TRUE(server.ok());
+
+      fault::FaultInjector faults(7);
+      StatusCode want = StatusCode::kUnavailable;
+      switch (outcome) {
+        case Outcome::kOk:
+          want = StatusCode::kOk;
+          break;
+        case Outcome::kRequestLost:
+          faults.Arm(fault::FaultPoint::kRegionRpcFailure);
+          break;
+        case Outcome::kRpcTimeout:
+          faults.Arm(fault::FaultPoint::kRpcTimeout);
+          break;
+        case Outcome::kAckLost:
+          faults.Arm(fault::FaultPoint::kRegionRpcAckLost);
+          break;
+        case Outcome::kCrashedServer:
+          ASSERT_TRUE(cluster.failover().CrashServer(*server));
+          break;
+        case Outcome::kDegradedRead:
+          // A fenced server's lease expires; its intact store then serves
+          // reads degraded until the (frozen) reassignment moves it.
+          cluster.failover().FenceServer(*server);
+          for (int i = 0; i < failover.lease_missed_rounds + 2; ++i) {
+            cluster.failover().PumpVirtualTime(failover.heartbeat_every_rpcs *
+                                               failover.us_per_tick);
+          }
+          ASSERT_EQ(cluster.failover().state(*server), ServerState::kDead);
+          want = StatusCode::kOk;
+          break;
+        case Outcome::kAdmissionShed: {
+          AdmissionConfig admission;
+          admission.enabled = true;
+          admission.max_inflight_per_server = 0;
+          admission.max_queue_depth = 0;  // every op is shed
+          cluster.ConfigureAdmission(admission);
+          want = StatusCode::kResourceExhausted;
+          break;
+        }
+      }
+      cluster.SetFaultInjector(&faults);
+      obs::TraceCollector trace(&s.meter());
+      trace.set_rpc_spans(true);
+      s.SetTrace(&trace);
+
+      const uint64_t session_rpcs = s.counts().rpcs;
+      const uint64_t registry_rpcs = cluster.counters().rpcs->Value();
+      const double meter_us = s.meter().micros();
+      const Status status = Attempt(cluster, s, kind);
+      s.SetTrace(nullptr);
+      cluster.SetFaultInjector(nullptr);
+
+      EXPECT_EQ(status.code(), want) << status;
+      ASSERT_EQ(trace.spans().size(), 1u) << trace.Render();
+      const obs::TraceSpan& span = trace.spans()[0];
+      EXPECT_EQ(span.name, SpanName(kind));
+      EXPECT_FALSE(span.open);
+      std::vector<std::pair<std::string, std::string>> notes = {
+          {"table", "t"}, {"server", std::to_string(*server)}};
+      if (outcome == Outcome::kDegradedRead) {
+        notes.emplace_back("degraded", "1");
+      }
+      EXPECT_EQ(span.notes, notes);
+      EXPECT_EQ(s.counts().rpcs, session_rpcs + 1);
+      EXPECT_EQ(cluster.counters().rpcs->Value(), registry_rpcs + 1);
+      EXPECT_EQ(s.counts().degraded_reads,
+                outcome == Outcome::kDegradedRead ? 1u : 0u);
+
+      const bool charged = !IsRead(kind) || want == StatusCode::kOk;
+      const double charge =
+          charged ? KindCharge(cluster.cost_model(), kind) : 0.0;
+      EXPECT_DOUBLE_EQ(s.meter().micros() - meter_us, charge);
+      EXPECT_DOUBLE_EQ(span.duration_us(), charge);
+    }
+  }
 }
 
 }  // namespace

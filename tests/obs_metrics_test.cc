@@ -218,17 +218,6 @@ TEST(TraceTest, SpansNestAndSumToMeterTotal) {
   EXPECT_TRUE(trace.spans().empty());
 }
 
-TEST(TraceTest, AddLeafRecordsPreMeasuredChildren) {
-  sim::CostMeter meter;
-  TraceCollector trace(&meter);
-  const int root = trace.OpenSpan("analyze");
-  trace.AddLeaf("node: scan", 12.5);
-  trace.CloseSpan(root);
-  ASSERT_EQ(trace.spans().size(), 2u);
-  EXPECT_DOUBLE_EQ(trace.spans()[1].duration_us(), 12.5);
-  EXPECT_EQ(trace.spans()[1].parent, root);
-}
-
 TEST(TraceTest, NullCollectorScopedSpanIsNoOp) {
   ScopedSpan span(nullptr, "nothing");
   span.Note("k", "v");

@@ -4,8 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <tuple>
+#include <vector>
+
 #include "company_fixture.h"
+#include "sql/parser.h"
+#include "synergy/view_audit.h"
 #include "testing/fault_injector.h"
+#include "tpcw/generator.h"
+#include "tpcw/schema.h"
+#include "tpcw/workload.h"
 #include "tuple_builder.h"
 
 namespace synergy::core {
@@ -290,6 +300,90 @@ TEST_F(SynergySystemTest, SingleLockHeldPerWrite) {
     }
     EXPECT_LE(trees_containing, 1) << rel;
   }
+}
+
+
+// UPDATE/DELETE of an absent row of each TPC-W root: the write locks the
+// root row its key names, affects nothing, and releases the lock.
+class AbsentRootWriteTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    system_ = std::make_unique<SynergySystem>(
+        &cluster_, SynergyConfig{.roots = tpcw::Roots()});
+    ASSERT_TRUE(
+        system_->Build(tpcw::BuildCatalog(), tpcw::BuildWorkload()).ok());
+    ASSERT_TRUE(system_->CreateStorage().ok());
+    hbase::Session s(&cluster_);
+    tpcw::ScaleConfig scale;
+    scale.num_customers = 10;
+    ASSERT_TRUE(tpcw::GenerateDatabase(
+                    scale,
+                    [&](const std::string& relation, const exec::Tuple& t) {
+                      return system_->Load(s, relation, t);
+                    })
+                    .ok());
+  }
+
+  /// Rows and bytes of every data table (lock tables excluded: locking an
+  /// absent root row may leave a free lock entry behind).
+  std::vector<std::tuple<std::string, size_t, size_t>> DataFingerprint() {
+    std::vector<std::tuple<std::string, size_t, size_t>> out;
+    for (const hbase::TableSizeInfo& t : cluster_.SizeReport()) {
+      if (t.name.starts_with("__lock_")) continue;
+      out.emplace_back(t.name, t.rows, t.bytes);
+    }
+    return out;
+  }
+
+  void ExpectNoOpWrite(const std::string& sql) {
+    SCOPED_TRACE(sql);
+    hbase::Session s(&cluster_);
+    const auto before = DataFingerprint();
+    const uint64_t acquires = LockCount("txn_lock_acquires_total");
+    const uint64_t releases = LockCount("txn_lock_releases_total");
+    auto written = system_->ExecuteWrite(s, sql::MustParse(sql), {});
+    ASSERT_TRUE(written.ok()) << written.status();
+    EXPECT_EQ(DataFingerprint(), before);
+    EXPECT_EQ(LockCount("txn_lock_acquires_total"), acquires + 1);
+    EXPECT_EQ(LockCount("txn_lock_releases_total"), releases + 1);
+    auto audit = AuditViewConsistency(s, system_->adapter());
+    ASSERT_TRUE(audit.ok()) << audit.status();
+    EXPECT_TRUE(audit->consistent()) << audit->ToString();
+  }
+
+  uint64_t LockCount(std::string_view name) const {
+    return cluster_.metrics().Snapshot().CounterValue(name);
+  }
+
+  void ExpectInsertCommits(const std::string& sql) {
+    hbase::Session s(&cluster_);
+    auto inserted = system_->ExecuteWrite(s, sql::MustParse(sql), {});
+    ASSERT_TRUE(inserted.ok()) << sql << ": " << inserted.status();
+  }
+
+  hbase::Cluster cluster_;
+  std::unique_ptr<SynergySystem> system_;
+};
+
+TEST_F(AbsentRootWriteTest, Author) {
+  ExpectNoOpWrite("UPDATE Author SET a_bio = 'x' WHERE a_id = 987654");
+  ExpectNoOpWrite("DELETE FROM Author WHERE a_id = 987654");
+  ExpectInsertCommits(
+      "INSERT INTO Author (a_id, a_fname, a_lname) VALUES (987654, 'f', 'l')");
+}
+
+TEST_F(AbsentRootWriteTest, Customer) {
+  ExpectNoOpWrite("UPDATE Customer SET c_balance = 1.5 WHERE c_id = 987654");
+  ExpectNoOpWrite("DELETE FROM Customer WHERE c_id = 987654");
+  ExpectInsertCommits(
+      "INSERT INTO Customer (c_id, c_uname) VALUES (987654, 'absent-root')");
+}
+
+TEST_F(AbsentRootWriteTest, Country) {
+  ExpectNoOpWrite("UPDATE Country SET co_exchange = 2.0 WHERE co_id = 99999");
+  ExpectNoOpWrite("DELETE FROM Country WHERE co_id = 99999");
+  ExpectInsertCommits(
+      "INSERT INTO Country (co_id, co_name) VALUES (99999, 'nowhere')");
 }
 
 }  // namespace
